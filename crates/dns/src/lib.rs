@@ -66,5 +66,5 @@ pub use name::{DomainName, ParseDomainError};
 pub use record::{ClientId, CompactLookup, CompactObserved, ObservedLookup, RawLookup, ServerId};
 pub use resolver::LocalResolver;
 pub use time::{SimDuration, SimInstant};
-pub use topology::{CompactTopology, Topology, TopologyBuilder, TopologyError};
+pub use topology::{BorderAuthority, Topology, TopologyBuilder, TopologyError, TopologyLookup};
 pub use ttl::TtlPolicy;

@@ -84,7 +84,7 @@ impl RawLookup {
 /// buffers full of these recycle through a
 /// [`BufferPool`](https://docs.rs/botmeter-exec) without per-record cost.
 /// The text stays resolvable through the
-/// [`DomainInterner`](crate::DomainInterner) bytes arena.
+/// [`DomainInterner`](crate::DomainInterner) that interned it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompactLookup {
     /// When the client issued the query.
@@ -114,7 +114,7 @@ impl CompactLookup {
 
 /// The id-resident form of an [`ObservedLookup`] — same `Copy`/POD
 /// properties as [`CompactLookup`], for the border-visible
-/// `⟨t, server, domain⟩` shape the filter, fault and match stages stream.
+/// `⟨t, server, domain⟩` shape the filter and fault stages stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompactObserved {
     /// Arrival time at the border server.

@@ -7,9 +7,14 @@
 //! [`ObservedLookup`] attributed to the *last forwarding server* — exactly
 //! the `⟨t, s, d⟩` tuple BotMeter consumes — and the authoritative answer is
 //! then cached at every node along the path.
+//!
+//! One [`Topology`] serves both record layouts through [`TopologyLookup`]:
+//! name-keyed [`RawLookup`]s filter through `DnsCache<DomainName>` caches,
+//! id-resident [`CompactLookup`]s through `DnsCache<DomainId>` caches.
 
 use crate::authority::{Answer, Authority};
 use crate::cache::{CacheStats, DnsCache};
+use crate::intern::{DomainId, DomainInterner};
 use crate::name::DomainName;
 use crate::record::{
     ClientId, CompactLookup, CompactObserved, ObservedLookup, RawLookup, ServerId,
@@ -20,14 +25,112 @@ use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 /// Identifier of the border (root) server in every topology.
 const BORDER: ServerId = ServerId(0);
 
+/// A lookup record a [`Topology`] can route: the name-keyed [`RawLookup`]
+/// or the id-resident [`CompactLookup`]. It names the key the resolver
+/// caches probe and the record the border sees.
+pub trait TopologyLookup {
+    /// The cache key: [`DomainName`] or [`DomainId`].
+    type Key: Clone + Eq + Hash + Ord + Send + Sync;
+    /// The border-visible record this lookup becomes.
+    type Observed: Send;
+
+    /// When the client issued the query.
+    fn t(&self) -> SimInstant;
+    /// The issuing client.
+    fn client(&self) -> ClientId;
+    /// The queried domain as the caches key it.
+    fn key(&self) -> &Self::Key;
+    /// The domain's fingerprint, which picks a key's shard on the
+    /// parallel path.
+    fn key_id(key: &Self::Key) -> DomainId;
+    /// The record the border sees when `server` forwards this lookup.
+    fn observe(&self, server: ServerId) -> Self::Observed;
+}
+
+impl TopologyLookup for RawLookup {
+    type Key = DomainName;
+    type Observed = ObservedLookup;
+
+    fn t(&self) -> SimInstant {
+        self.t
+    }
+
+    fn client(&self) -> ClientId {
+        self.client
+    }
+
+    fn key(&self) -> &DomainName {
+        &self.domain
+    }
+
+    fn key_id(key: &DomainName) -> DomainId {
+        key.id()
+    }
+
+    fn observe(&self, server: ServerId) -> ObservedLookup {
+        ObservedLookup::new(self.t, server, self.domain.clone())
+    }
+}
+
+impl TopologyLookup for CompactLookup {
+    type Key = DomainId;
+    type Observed = CompactObserved;
+
+    fn t(&self) -> SimInstant {
+        self.t
+    }
+
+    fn client(&self) -> ClientId {
+        self.client
+    }
+
+    fn key(&self) -> &DomainId {
+        &self.domain
+    }
+
+    fn key_id(key: &DomainId) -> DomainId {
+        *key
+    }
+
+    fn observe(&self, server: ServerId) -> CompactObserved {
+        CompactObserved::new(self.t, server, self.domain)
+    }
+}
+
+/// Answers a border cache miss for one key layout. Every [`Authority`]
+/// answers name keys directly; an id-keyed topology takes
+/// `(&DomainInterner, authority)` and resolves the id to its canonical
+/// name first — the only place the id layout touches text.
+pub trait BorderAuthority<K> {
+    /// The authoritative answer for `key` at time `t`.
+    fn answer(&self, t: SimInstant, key: &K) -> Answer;
+}
+
+impl<A: Authority> BorderAuthority<DomainName> for A {
+    fn answer(&self, t: SimInstant, key: &DomainName) -> Answer {
+        self.resolve(t, key)
+    }
+}
+
+impl<A: Authority> BorderAuthority<DomainId> for (&DomainInterner, A) {
+    fn answer(&self, t: SimInstant, key: &DomainId) -> Answer {
+        let name = self
+            .0
+            .resolve(*key)
+            .expect("hot-path domains are interned before replay");
+        self.1.resolve(t, name)
+    }
+}
+
 #[derive(Debug, Clone)]
-struct Node {
+struct Node<K> {
     parent: Option<ServerId>,
-    cache: DnsCache,
+    cache: DnsCache<K>,
 }
 
 /// Errors from topology construction or client routing.
@@ -64,12 +167,12 @@ impl std::error::Error for TopologyError {}
 /// # Example
 ///
 /// ```
-/// use botmeter_dns::{TopologyBuilder, TtlPolicy};
+/// use botmeter_dns::{Topology, TopologyBuilder, TtlPolicy};
 /// let mut b = TopologyBuilder::new(TtlPolicy::paper_default());
 /// let site_a = b.add_resolver_under_border();
 /// let site_b = b.add_resolver_under_border();
 /// let floor = b.add_resolver(site_a)?; // a second caching level
-/// let mut topo = b.build();
+/// let mut topo: Topology = b.build();
 /// topo.set_default_leaf(site_b)?;
 /// assert_eq!(topo.local_servers().len(), 3);
 /// # let _ = floor;
@@ -78,7 +181,8 @@ impl std::error::Error for TopologyError {}
 #[derive(Debug, Clone)]
 pub struct TopologyBuilder {
     ttl: TtlPolicy,
-    nodes: Vec<Node>,
+    /// Each node's upstream server, indexed by server id.
+    parents: Vec<Option<ServerId>>,
 }
 
 impl TopologyBuilder {
@@ -86,10 +190,7 @@ impl TopologyBuilder {
     pub fn new(ttl: TtlPolicy) -> Self {
         TopologyBuilder {
             ttl,
-            nodes: vec![Node {
-                parent: None,
-                cache: DnsCache::new(),
-            }],
+            parents: vec![None],
         }
     }
 
@@ -105,32 +206,46 @@ impl TopologyBuilder {
     /// Returns [`TopologyError::UnknownServer`] if `parent` was never
     /// created.
     pub fn add_resolver(&mut self, parent: ServerId) -> Result<ServerId, TopologyError> {
-        if parent.0 as usize >= self.nodes.len() {
+        if parent.0 as usize >= self.parents.len() {
             return Err(TopologyError::UnknownServer(parent));
         }
-        let id = ServerId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            parent: Some(parent),
-            cache: DnsCache::new(),
-        });
+        let id = ServerId(self.parents.len() as u32);
+        self.parents.push(Some(parent));
         Ok(id)
     }
 
-    /// Finalises the topology.
-    pub fn build(self) -> Topology {
+    /// Finalises the topology, with caches keyed by `K` (inferred from the
+    /// records it processes).
+    pub fn build<K>(self) -> Topology<K> {
         Topology {
             ttl: self.ttl,
-            nodes: self.nodes,
+            nodes: self
+                .parents
+                .into_iter()
+                .map(|parent| Node {
+                    parent,
+                    cache: DnsCache::default(),
+                })
+                .collect(),
             client_map: HashMap::new(),
             default_leaf: None,
             obs: Obs::noop(),
+            scratch_path: Vec::with_capacity(4),
         }
     }
 }
 
 /// A tree of caching resolvers rooted at the border vantage point.
 ///
-/// See the crate-level documentation for the forwarding model.
+/// See the crate-level documentation for the forwarding model. The cache
+/// key `K` follows the records processed: [`DomainName`] for
+/// [`RawLookup`]s, [`DomainId`] for [`CompactLookup`]s. The id layout's
+/// per-lookup path touches no `Arc` refcounts and, in steady state,
+/// allocates nothing; it consults its [`DomainInterner`] only on a border
+/// cache miss. Every cache is unbounded in that layout's use, so id-keyed
+/// filtering is bit-identical to name-keyed filtering (id equality ≡ name
+/// equality; the interner panics at intern time on a fingerprint
+/// collision). The name-keyed cache still compares text on equal ids.
 ///
 /// # Example
 ///
@@ -150,18 +265,20 @@ impl TopologyBuilder {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct Topology {
+pub struct Topology<K = DomainName> {
     ttl: TtlPolicy,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<K>>,
     client_map: HashMap<ClientId, ServerId>,
     default_leaf: Option<ServerId>,
     obs: Obs,
+    /// Reused walk path, so steady-state processing allocates nothing.
+    scratch_path: Vec<ServerId>,
 }
 
-impl Topology {
+impl<K: Clone + Eq + Hash + Ord + Send + Sync> Topology<K> {
     /// The simplest topology in the paper's evaluation: one local resolver
     /// under the border, serving every client by default.
-    pub fn single_local(ttl: TtlPolicy) -> Topology {
+    pub fn single_local(ttl: TtlPolicy) -> Self {
         let mut b = TopologyBuilder::new(ttl);
         let local = b.add_resolver_under_border();
         let mut t = b.build();
@@ -171,7 +288,7 @@ impl Topology {
 
     /// A one-level topology with `n` local resolvers under the border
     /// (clients must be assigned, or a default leaf set, before processing).
-    pub fn star(ttl: TtlPolicy, n: usize) -> Topology {
+    pub fn star(ttl: TtlPolicy, n: usize) -> Self {
         let mut b = TopologyBuilder::new(ttl);
         for _ in 0..n {
             b.add_resolver_under_border();
@@ -244,366 +361,27 @@ impl Topology {
     /// # Errors
     ///
     /// [`TopologyError::UnroutedClient`] if the client cannot be routed.
-    pub fn process<A: Authority>(
+    pub fn process<R, A>(
         &mut self,
-        raw: &RawLookup,
+        raw: &R,
         authority: A,
-    ) -> Result<Option<ObservedLookup>, TopologyError> {
-        let entry = self.route(raw.client)?;
-        let t = raw.t;
+    ) -> Result<Option<R::Observed>, TopologyError>
+    where
+        R: TopologyLookup<Key = K>,
+        A: BorderAuthority<K>,
+    {
+        let entry = self.route(raw.client())?;
+        let t = raw.t();
+        let key = raw.key();
 
         // Walk up, collecting the path of caches below the border.
-        let mut path: Vec<ServerId> = Vec::with_capacity(4);
-        let mut current = entry;
-        loop {
-            if let Some(hit) = self.nodes[current.0 as usize].cache.lookup(t, &raw.domain) {
-                let _ = hit;
-                return Ok(None); // absorbed below the vantage point
-            }
-            path.push(current);
-            match self.nodes[current.0 as usize].parent {
-                Some(parent) if parent == BORDER => break,
-                Some(parent) => current = parent,
-                None => break, // entry somehow was the border: defensive
-            }
-        }
-
-        let forwarder = *path.last().expect("path has at least the entry node");
-        let observed = ObservedLookup::new(t, forwarder, raw.domain.clone());
-
-        // Resolve at/above the border (the border's own cache does not
-        // affect visibility, only upstream traffic, which we don't model).
-        let answer = self.resolve_at_border(t, &raw.domain, authority);
-
-        // The response propagates back down; every node on the path caches it.
-        for node in path {
-            self.nodes[node.0 as usize]
-                .cache
-                .store(t, raw.domain.clone(), answer, &self.ttl);
-        }
-        Ok(Some(observed))
-    }
-
-    fn resolve_at_border<A: Authority>(
-        &mut self,
-        t: SimInstant,
-        domain: &DomainName,
-        authority: A,
-    ) -> Answer {
-        let border = &mut self.nodes[BORDER.0 as usize];
-        if let Some(hit) = border.cache.lookup(t, domain) {
-            return hit.answer;
-        }
-        let answer = authority.resolve(t, domain);
-        border.cache.store(t, domain.clone(), answer, &self.ttl);
-        answer
-    }
-
-    /// Attaches an observability handle; subsequent
-    /// [`process_trace`](Self::process_trace) calls report per-server cache
-    /// deltas (`cache.s{id}.*`) and border admission counters
-    /// (`topology.lookups` / `topology.admitted` / `topology.filtered`)
-    /// through it. The default handle is the no-op one.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy
-    /// under `policy` and returns the border-visible sub-trace. Sequential
-    /// and parallel policies produce bit-identical output and cache state.
-    ///
-    /// The parallel path shards the trace by
-    /// [`DomainId`](crate::DomainId): cache visibility is a per-domain
-    /// property when every cache is unbounded (the simulated topologies),
-    /// because entries are domain-keyed and never evicted by other domains'
-    /// traffic. All lookups for one domain land in one shard with relative
-    /// order preserved, which reproduces the sequential outcome
-    /// bit-for-bit; the shards' observed lookups are stitched back into
-    /// trace order afterwards, the shards' cache entries and stat deltas
-    /// merged into `self`. It falls back to sequential processing when a
-    /// capacity-bounded cache is present (evictions couple domains), when
-    /// only one worker thread is configured, or when the trace is too short
-    /// to be worth sharding.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any lookup's client is unroutable. (The parallel path
-    /// pre-routes and leaves the caches unchanged on error, whereas
-    /// sequential processing stops mid-trace.)
-    pub fn process_trace<A: Authority + Copy + Sync>(
-        &mut self,
-        raws: &[RawLookup],
-        authority: A,
-        policy: ExecPolicy,
-    ) -> Result<Vec<ObservedLookup>, TopologyError> {
-        const MIN_PARALLEL_TRACE: usize = 2048;
-        let base_stats: Option<Vec<CacheStats>> = self
-            .obs
-            .enabled()
-            .then(|| self.nodes.iter().map(|n| n.cache.stats()).collect());
-
-        let shards = policy.worker_threads();
-        let bounded = self.nodes.iter().any(|n| n.cache.capacity().is_some());
-        let out = if shards <= 1 || bounded || raws.len() < MIN_PARALLEL_TRACE {
-            self.process_trace_seq(raws, authority)?
-        } else {
-            self.process_trace_sharded(raws, authority, shards)?
-        };
-
-        if let Some(base) = base_stats {
-            self.push_cache_deltas(&base);
-            self.obs.counter_add("topology.lookups", raws.len() as u64);
-            self.obs.counter_add("topology.admitted", out.len() as u64);
-            self.obs
-                .counter_add("topology.filtered", (raws.len() - out.len()) as u64);
-        }
-        Ok(out)
-    }
-
-    fn process_trace_seq<A: Authority + Copy>(
-        &mut self,
-        raws: &[RawLookup],
-        authority: A,
-    ) -> Result<Vec<ObservedLookup>, TopologyError> {
-        let mut out = Vec::new();
-        for raw in raws {
-            if let Some(obs) = self.process(raw, authority)? {
-                out.push(obs);
-            }
-        }
-        Ok(out)
-    }
-
-    fn process_trace_sharded<A: Authority + Copy + Sync>(
-        &mut self,
-        raws: &[RawLookup],
-        authority: A,
-        shards: usize,
-    ) -> Result<Vec<ObservedLookup>, TopologyError> {
-        for raw in raws {
-            self.route(raw.client)?;
-        }
-
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (i, raw) in raws.iter().enumerate() {
-            parts[(raw.domain.id().0 % shards as u64) as usize].push(i);
-        }
-
-        let base_stats: Vec<CacheStats> = self.nodes.iter().map(|n| n.cache.stats()).collect();
-        let template: &Topology = self;
-        let shard_results: Vec<(Topology, Vec<(usize, ObservedLookup)>)> =
-            botmeter_exec::run_indexed_with(
-                ExecPolicy::with_threads(shards),
-                &self.obs,
-                shards,
-                |s| {
-                    let mut topo = template.clone();
-                    let mut out = Vec::new();
-                    for &i in &parts[s] {
-                        let visible = topo
-                            .process(&raws[i], authority)
-                            .expect("every client pre-routed");
-                        if let Some(obs) = visible {
-                            out.push((i, obs));
-                        }
-                    }
-                    (topo, out)
-                },
-            );
-
-        // Stitch observations back into trace order. Each shard's list is
-        // already ascending in trace index, so this is a k-way merge; a sort
-        // by unique index gives the same result with less code.
-        let mut indexed: Vec<(usize, ObservedLookup)> = shard_results
-            .iter()
-            .flat_map(|(_, obs)| obs.iter().cloned())
-            .collect();
-        indexed.sort_by_key(|(i, _)| *i);
-
-        for (s, (shard_topo, _)) in shard_results.into_iter().enumerate() {
-            for (n, shard_node) in shard_topo.nodes.into_iter().enumerate() {
-                let shards = shards as u64;
-                self.nodes[n].cache.absorb_shard(
-                    shard_node.cache,
-                    base_stats[n],
-                    move |d: &DomainName| (d.id().0 % shards) as usize == s,
-                );
-            }
-        }
-        Ok(indexed.into_iter().map(|(_, obs)| obs).collect())
-    }
-
-    /// Pushes the difference between the current per-node cache stats and
-    /// `base` into the recorder as `cache.s{id}.*` counters. Batched at
-    /// trace-batch boundaries so the per-lookup hot path stays free of
-    /// recording calls; only non-zero deltas are pushed.
-    fn push_cache_deltas(&self, base: &[CacheStats]) {
-        for (n, node) in self.nodes.iter().enumerate() {
-            let now = node.cache.stats();
-            let prev = base[n];
-            let fields = [
-                ("pos_hits", now.positive_hits - prev.positive_hits),
-                ("neg_hits", now.negative_hits - prev.negative_hits),
-                ("misses", now.misses - prev.misses),
-                (
-                    "expired_evictions",
-                    now.expired_evictions - prev.expired_evictions,
-                ),
-                (
-                    "capacity_evictions",
-                    now.capacity_evictions - prev.capacity_evictions,
-                ),
-            ];
-            for (field, delta) in fields {
-                if delta > 0 {
-                    self.obs.counter_add(&format!("cache.s{n}.{field}"), delta);
-                }
-            }
-        }
-    }
-
-    /// Runs a whole raw trace through the hierarchy in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`process_trace`](Self::process_trace).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `process_trace(raws, authority, ExecPolicy::parallel())`"
-    )]
-    pub fn process_trace_parallel<A: Authority + Copy + Sync>(
-        &mut self,
-        raws: &[RawLookup],
-        authority: A,
-    ) -> Result<Vec<ObservedLookup>, TopologyError> {
-        self.process_trace(raws, authority, ExecPolicy::parallel())
-    }
-
-    /// Cache statistics of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` does not exist.
-    pub fn cache_stats(&self, server: ServerId) -> CacheStats {
-        self.nodes[server.0 as usize].cache.stats()
-    }
-
-    /// Clears every cache in the hierarchy.
-    pub fn clear_caches(&mut self) {
-        for node in &mut self.nodes {
-            node.cache.clear();
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct CompactNode {
-    parent: Option<ServerId>,
-    cache: DnsCache<crate::DomainId>,
-}
-
-/// The id-resident mirror of [`Topology`]: the same resolver tree and
-/// forwarding model, but caches are keyed by [`DomainId`](crate::DomainId)
-/// and traffic flows as [`CompactLookup`]/[`CompactObserved`] `Copy`
-/// records, so the per-lookup hot path touches no `Arc` refcounts and
-/// performs no heap allocation in steady state.
-///
-/// Every cache is unbounded, so filtering depends only on each domain's own
-/// history and id-keyed probes produce bit-identical visibility to the
-/// name-keyed [`Topology`] (id equality ≡ name equality; the interner
-/// panics at intern time on the astronomically unlikely fingerprint
-/// collision). The authority is consulted — and the name resolved through
-/// the interner's bytes arena — only on a border cache miss.
-#[derive(Debug, Clone)]
-pub struct CompactTopology {
-    ttl: TtlPolicy,
-    nodes: Vec<CompactNode>,
-    client_map: HashMap<ClientId, ServerId>,
-    default_leaf: Option<ServerId>,
-    obs: Obs,
-    scratch_path: Vec<ServerId>,
-}
-
-impl CompactTopology {
-    /// The simplest topology in the paper's evaluation: one local resolver
-    /// under the border, serving every client by default (the id-resident
-    /// counterpart of [`Topology::single_local`]).
-    pub fn single_local(ttl: TtlPolicy) -> CompactTopology {
-        let nodes = vec![
-            CompactNode {
-                parent: None,
-                cache: DnsCache::new(),
-            },
-            CompactNode {
-                parent: Some(BORDER),
-                cache: DnsCache::new(),
-            },
-        ];
-        CompactTopology {
-            ttl,
-            nodes,
-            client_map: HashMap::new(),
-            default_leaf: Some(ServerId(1)),
-            obs: Obs::noop(),
-            scratch_path: Vec::with_capacity(4),
-        }
-    }
-
-    /// The border server's id (always `ServerId(0)`).
-    pub fn border(&self) -> ServerId {
-        BORDER
-    }
-
-    /// Ids of all non-border resolvers.
-    pub fn local_servers(&self) -> Vec<ServerId> {
-        (1..self.nodes.len() as u32).map(ServerId).collect()
-    }
-
-    /// Attaches an observability handle; mirrors [`Topology::set_obs`].
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// The resolver a client's lookups enter at.
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyError::UnroutedClient`] if the client has no assignment
-    /// and no default leaf is set.
-    pub fn route(&self, client: ClientId) -> Result<ServerId, TopologyError> {
-        self.client_map
-            .get(&client)
-            .copied()
-            .or(self.default_leaf)
-            .ok_or(TopologyError::UnroutedClient(client))
-    }
-
-    /// Processes one compact raw lookup through the hierarchy. The interner
-    /// must be the one that interned the lookup's domain; it is consulted
-    /// only when the lookup reaches an authority-resolving border miss.
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyError::UnroutedClient`] if the client cannot be routed.
-    pub fn process<A: Authority>(
-        &mut self,
-        raw: &CompactLookup,
-        interner: &crate::DomainInterner,
-        authority: A,
-    ) -> Result<Option<CompactObserved>, TopologyError> {
-        let entry = self.route(raw.client)?;
-        let t = raw.t;
-
-        // Walk up, collecting the path of caches below the border. The
-        // path scratch is owned by the topology so steady-state processing
-        // allocates nothing.
         let mut path = std::mem::take(&mut self.scratch_path);
         path.clear();
         let mut current = entry;
         loop {
             if self.nodes[current.0 as usize]
                 .cache
-                .lookup(t, &raw.domain)
+                .lookup(t, key)
                 .is_some()
             {
                 self.scratch_path = path;
@@ -618,59 +396,101 @@ impl CompactTopology {
         }
 
         let forwarder = *path.last().expect("path has at least the entry node");
-        let observed = CompactObserved::new(t, forwarder, raw.domain);
 
-        let answer = self.resolve_at_border(t, raw.domain, interner, authority);
+        // Resolve at/above the border (the border's own cache does not
+        // affect visibility, only upstream traffic, which we don't model).
+        let answer = self.resolve_at_border(t, key, authority);
 
         // The response propagates back down; every node on the path caches it.
         for node in &path {
             self.nodes[node.0 as usize]
                 .cache
-                .store(t, raw.domain, answer, &self.ttl);
+                .store(t, key.clone(), answer, &self.ttl);
         }
         self.scratch_path = path;
-        Ok(Some(observed))
+        Ok(Some(raw.observe(forwarder)))
     }
 
-    fn resolve_at_border<A: Authority>(
+    fn resolve_at_border<A: BorderAuthority<K>>(
         &mut self,
         t: SimInstant,
-        domain: crate::DomainId,
-        interner: &crate::DomainInterner,
+        key: &K,
         authority: A,
     ) -> Answer {
         let border = &mut self.nodes[BORDER.0 as usize];
-        if let Some(hit) = border.cache.lookup(t, &domain) {
+        if let Some(hit) = border.cache.lookup(t, key) {
             return hit.answer;
         }
-        let name = interner
-            .resolve(domain)
-            .expect("hot-path domains are interned before replay");
-        let answer = authority.resolve(t, name);
-        border.cache.store(t, domain, answer, &self.ttl);
+        let answer = authority.answer(t, key);
+        border.cache.store(t, key.clone(), answer, &self.ttl);
         answer
     }
 
-    /// Runs a whole compact raw trace (assumed time-ordered) through the
-    /// hierarchy and appends the border-visible sub-trace to `out` —
-    /// the caller owns (and recycles) the output buffer, keeping the
-    /// sequential steady state allocation-free. Mirrors
-    /// [`Topology::process_trace`], including the domain-sharded parallel
-    /// path and its sequential fallbacks.
+    /// Attaches an observability handle; subsequent
+    /// [`process_trace`](Self::process_trace) calls report per-server cache
+    /// deltas (`cache.s{id}.*`) and border admission counters
+    /// (`topology.lookups` / `topology.admitted` / `topology.filtered`)
+    /// through it. The default handle is the no-op one.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
+    }
+
+    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy
+    /// under `policy` and returns the border-visible sub-trace; see
+    /// [`process_trace_into`](Self::process_trace_into).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`process_trace_into`](Self::process_trace_into).
+    pub fn process_trace<R, A>(
+        &mut self,
+        raws: &[R],
+        authority: A,
+        policy: ExecPolicy,
+    ) -> Result<Vec<R::Observed>, TopologyError>
+    where
+        R: TopologyLookup<Key = K> + Sync,
+        A: BorderAuthority<K> + Copy + Sync,
+    {
+        let mut out = Vec::new();
+        self.process_trace_into(raws, authority, policy, &mut out)?;
+        Ok(out)
+    }
+
+    /// Runs a whole raw trace (assumed time-ordered) through the hierarchy
+    /// under `policy` and appends the border-visible sub-trace to `out` —
+    /// the caller owns (and can recycle) the output buffer, keeping the
+    /// sequential steady state allocation-free. Sequential and parallel
+    /// policies produce bit-identical output and cache state.
+    ///
+    /// The parallel path shards the trace by [`DomainId`]: cache visibility
+    /// is a per-domain property when every cache is unbounded (the
+    /// simulated topologies), because entries are domain-keyed and never
+    /// evicted by other domains' traffic. All lookups for one domain land
+    /// in one shard with relative order preserved, which reproduces the
+    /// sequential outcome bit-for-bit; the shards' observed lookups are
+    /// stitched back into trace order afterwards, the shards' cache entries
+    /// and stat deltas merged into `self`. It falls back to sequential
+    /// processing when a capacity-bounded cache is present (evictions
+    /// couple domains), when only one worker thread is configured, or when
+    /// the trace is too short to be worth sharding.
     ///
     /// # Errors
     ///
     /// Fails if any lookup's client is unroutable. (The parallel path
     /// pre-routes and leaves the caches unchanged on error, whereas
     /// sequential processing stops mid-trace.)
-    pub fn process_trace_into<A: Authority + Copy + Sync>(
+    pub fn process_trace_into<R, A>(
         &mut self,
-        raws: &[CompactLookup],
-        interner: &crate::DomainInterner,
+        raws: &[R],
         authority: A,
         policy: ExecPolicy,
-        out: &mut Vec<CompactObserved>,
-    ) -> Result<(), TopologyError> {
+        out: &mut Vec<R::Observed>,
+    ) -> Result<(), TopologyError>
+    where
+        R: TopologyLookup<Key = K> + Sync,
+        A: BorderAuthority<K> + Copy + Sync,
+    {
         const MIN_PARALLEL_TRACE: usize = 2048;
         let base_stats: Option<Vec<CacheStats>> = self
             .obs
@@ -682,12 +502,12 @@ impl CompactTopology {
         let bounded = self.nodes.iter().any(|n| n.cache.capacity().is_some());
         if shards <= 1 || bounded || raws.len() < MIN_PARALLEL_TRACE {
             for raw in raws {
-                if let Some(obs) = self.process(raw, interner, authority)? {
+                if let Some(obs) = self.process(raw, authority)? {
                     out.push(obs);
                 }
             }
         } else {
-            self.process_trace_sharded(raws, interner, authority, shards, out)?;
+            self.process_trace_sharded(raws, authority, shards, out)?;
         }
 
         if let Some(base) = base_stats {
@@ -701,90 +521,69 @@ impl CompactTopology {
         Ok(())
     }
 
-    /// Convenience wrapper over
-    /// [`process_trace_into`](Self::process_trace_into) returning a fresh
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`process_trace_into`](Self::process_trace_into).
-    pub fn process_trace<A: Authority + Copy + Sync>(
+    fn process_trace_sharded<R, A>(
         &mut self,
-        raws: &[CompactLookup],
-        interner: &crate::DomainInterner,
-        authority: A,
-        policy: ExecPolicy,
-    ) -> Result<Vec<CompactObserved>, TopologyError> {
-        let mut out = Vec::new();
-        self.process_trace_into(raws, interner, authority, policy, &mut out)?;
-        Ok(out)
-    }
-
-    fn process_trace_sharded<A: Authority + Copy + Sync>(
-        &mut self,
-        raws: &[CompactLookup],
-        interner: &crate::DomainInterner,
+        raws: &[R],
         authority: A,
         shards: usize,
-        out: &mut Vec<CompactObserved>,
-    ) -> Result<(), TopologyError> {
+        out: &mut Vec<R::Observed>,
+    ) -> Result<(), TopologyError>
+    where
+        R: TopologyLookup<Key = K> + Sync,
+        A: BorderAuthority<K> + Copy + Sync,
+    {
         for raw in raws {
-            self.route(raw.client)?;
+            self.route(raw.client())?;
         }
 
+        let shard_of = move |key: &K| (R::key_id(key).0 % shards as u64) as usize;
         let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards];
         for (i, raw) in raws.iter().enumerate() {
-            parts[(raw.domain.0 % shards as u64) as usize].push(i);
+            parts[shard_of(raw.key())].push(i);
         }
 
         let base_stats: Vec<CacheStats> = self.nodes.iter().map(|n| n.cache.stats()).collect();
-        let template: &CompactTopology = self;
-        let shard_results: Vec<(CompactTopology, Vec<(usize, CompactObserved)>)> =
-            botmeter_exec::run_indexed_with(
-                ExecPolicy::with_threads(shards),
-                &self.obs,
-                shards,
-                |s| {
-                    let mut topo = template.clone();
-                    let mut obs = Vec::new();
-                    for &i in &parts[s] {
-                        let visible = topo
-                            .process(&raws[i], interner, authority)
-                            .expect("every client pre-routed");
-                        if let Some(o) = visible {
-                            obs.push((i, o));
-                        }
+        let template: &Self = self;
+        let shard_results = botmeter_exec::run_indexed_with(
+            ExecPolicy::with_threads(shards),
+            &self.obs,
+            shards,
+            |s| {
+                let mut topo = template.clone();
+                let mut seen: Vec<(usize, R::Observed)> = Vec::new();
+                for &i in &parts[s] {
+                    let visible = topo
+                        .process(&raws[i], authority)
+                        .expect("every client pre-routed");
+                    if let Some(o) = visible {
+                        seen.push((i, o));
                     }
-                    (topo, obs)
-                },
-            );
+                }
+                (topo, seen)
+            },
+        );
 
-        // Stitch observations back into trace order (same scheme as the
-        // name-keyed topology: a sort by unique trace index).
-        let mut indexed: Vec<(usize, CompactObserved)> = shard_results
-            .iter()
-            .flat_map(|(_, obs)| obs.iter().copied())
-            .collect();
-        indexed.sort_by_key(|(i, _)| *i);
-        out.extend(indexed.into_iter().map(|(_, o)| o));
-
-        for (s, (shard_topo, _)) in shard_results.into_iter().enumerate() {
+        // Stitch observations back into trace order. Each shard's list is
+        // already ascending in trace index, so this is a k-way merge; a sort
+        // by unique index gives the same result with less code.
+        let mut indexed: Vec<(usize, R::Observed)> = Vec::new();
+        for (s, (shard_topo, seen)) in shard_results.into_iter().enumerate() {
+            indexed.extend(seen);
             for (n, shard_node) in shard_topo.nodes.into_iter().enumerate() {
-                let shards = shards as u64;
-                self.nodes[n].cache.absorb_shard(
-                    shard_node.cache,
-                    base_stats[n],
-                    move |d: &crate::DomainId| (d.0 % shards) as usize == s,
-                );
+                self.nodes[n]
+                    .cache
+                    .absorb_shard(shard_node.cache, base_stats[n], |d: &K| shard_of(d) == s);
             }
         }
+        indexed.sort_by_key(|(i, _)| *i);
+        out.extend(indexed.into_iter().map(|(_, o)| o));
         Ok(())
     }
 
     /// Pushes the difference between the current per-node cache stats and
-    /// `base` into the recorder as `cache.s{id}.*` counters — the same
-    /// keys [`Topology`] pushes, so downstream metric consumers cannot
-    /// tell the record layouts apart.
+    /// `base` into the recorder as `cache.s{id}.*` counters. Batched at
+    /// trace-batch boundaries so the per-lookup hot path stays free of
+    /// recording calls; only non-zero deltas are pushed.
     fn push_cache_deltas(&self, base: &[CacheStats]) {
         for (n, node) in self.nodes.iter().enumerate() {
             let now = node.cache.stats();
@@ -1093,17 +892,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_shim_still_works() {
-        let auth = StaticAuthority::empty();
-        let mut topo = Topology::single_local(TtlPolicy::paper_default());
-        let obs = topo
-            .process_trace_parallel(&[raw(0, 1, "a.example")], &auth)
-            .unwrap();
-        assert_eq!(obs.len(), 1);
-    }
-
-    #[test]
     fn trace_metrics_report_cache_deltas_and_admission() {
         let (handle, registry) = Obs::collecting();
         let mut topo = Topology::single_local(TtlPolicy::paper_default());
@@ -1134,6 +922,48 @@ mod tests {
         assert_eq!(stats.misses, 2);
     }
 
+    /// One resolver tree built in both record layouts, plus the ids of all
+    /// its servers; clients 0..7 are spread over the leaves.
+    fn layouts(shape: &str) -> (Topology, Topology<DomainId>, Vec<ServerId>) {
+        fn build<K: Clone + Eq + Hash + Ord + Send + Sync>(shape: &str) -> Topology<K> {
+            let ttl = TtlPolicy::paper_default();
+            match shape {
+                "single_local" => Topology::single_local(ttl),
+                "star" => {
+                    let mut topo = Topology::star(ttl, 3);
+                    let leaves = topo.local_servers();
+                    for c in 0..7u32 {
+                        topo.assign_client(ClientId(c), leaves[c as usize % 3])
+                            .unwrap();
+                    }
+                    topo
+                }
+                _ => {
+                    let mut b = TopologyBuilder::new(ttl);
+                    let site_a = b.add_resolver_under_border();
+                    let site_b = b.add_resolver_under_border();
+                    let floors = [
+                        b.add_resolver(site_a).unwrap(),
+                        b.add_resolver(site_a).unwrap(),
+                        b.add_resolver(site_b).unwrap(),
+                    ];
+                    let mut topo = b.build();
+                    for c in 0..6u32 {
+                        topo.assign_client(ClientId(c), floors[c as usize % 3])
+                            .unwrap();
+                    }
+                    // Client 6 enters straight at a site.
+                    topo.set_default_leaf(site_b).unwrap();
+                    topo
+                }
+            }
+        }
+        let named = build::<DomainName>(shape);
+        let mut servers = vec![named.border()];
+        servers.extend(named.local_servers());
+        (named, build::<DomainId>(shape), servers)
+    }
+
     #[test]
     fn compact_topology_matches_name_keyed_filtering_bit_for_bit() {
         let mut interner = crate::DomainInterner::new();
@@ -1149,22 +979,26 @@ mod tests {
         let compact: Vec<CompactLookup> = trace.iter().map(|r| r.compact()).collect();
         let auth = StaticAuthority::from_domains([d("d3.example"), d("d55.example")]);
 
-        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            let mut legacy = Topology::single_local(TtlPolicy::paper_default());
-            let expect = legacy.process_trace(&trace, &auth, policy).unwrap();
+        for shape in ["single_local", "star", "two_level"] {
+            for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
+                let (mut legacy, mut fast, servers) = layouts(shape);
+                let expect = legacy.process_trace(&trace, &auth, policy).unwrap();
+                let got = fast
+                    .process_trace(&compact, (&interner, &auth), policy)
+                    .unwrap();
 
-            let mut fast = CompactTopology::single_local(TtlPolicy::paper_default());
-            let got = fast
-                .process_trace(&compact, &interner, &auth, policy)
-                .unwrap();
-
-            let hydrated: Vec<ObservedLookup> = got
-                .iter()
-                .map(|o| o.hydrate(&interner).expect("interned"))
-                .collect();
-            assert_eq!(hydrated, expect, "policy {policy:?}");
-            for s in [ServerId(0), ServerId(1)] {
-                assert_eq!(fast.cache_stats(s), legacy.cache_stats(s), "server {s}");
+                let hydrated: Vec<ObservedLookup> = got
+                    .iter()
+                    .map(|o| o.hydrate(&interner).expect("interned"))
+                    .collect();
+                assert_eq!(hydrated, expect, "{shape}, policy {policy:?}");
+                for s in servers {
+                    assert_eq!(
+                        fast.cache_stats(s),
+                        legacy.cache_stats(s),
+                        "{shape}, policy {policy:?}, server {s}"
+                    );
+                }
             }
         }
     }
@@ -1182,10 +1016,10 @@ mod tests {
             CompactLookup::new(SimInstant::from_millis(30), ClientId(2), nx.id()),
         ];
         let (handle, registry) = Obs::collecting();
-        let mut topo = CompactTopology::single_local(TtlPolicy::paper_default());
+        let mut topo = Topology::single_local(TtlPolicy::paper_default());
         topo.set_obs(handle);
         let mut out = Vec::new();
-        topo.process_trace_into(&trace, &interner, &auth, ExecPolicy::Sequential, &mut out)
+        topo.process_trace_into(&trace, (&interner, &auth), ExecPolicy::Sequential, &mut out)
             .unwrap();
         assert_eq!(out.len(), 2);
         let snap = registry.snapshot();

@@ -10,8 +10,7 @@ fn arb_domain() -> impl Strategy<Value = DomainName> {
     "[a-z][a-z0-9]{2,20}".prop_map(|label| format!("{label}.example").parse().expect("valid"))
 }
 
-/// Multi-label names with 2–5 labels of varying width, so the interner's
-/// label-boundary table sees every label count the arena stores.
+/// Multi-label names with 2–5 labels of varying width.
 fn arb_deep_domain() -> impl Strategy<Value = DomainName> {
     prop::collection::vec("[a-z][a-z0-9]{0,15}", 2..6)
         .prop_map(|labels| labels.join(".").parse().expect("joined valid labels parse"))
@@ -167,11 +166,11 @@ proptest! {
         prop_assert_eq!(records, back);
     }
 
-    /// Arena round-trip: every interned name resolves back — as a handle,
-    /// as text and as raw arena bytes — bit-identical to what went in,
-    /// and ids the interner never issued resolve to nothing.
+    /// Interner round-trip: every interned name resolves back to a handle
+    /// equal to what went in, and ids the interner never issued resolve to
+    /// nothing.
     #[test]
-    fn interner_arena_round_trips_arbitrary_names(
+    fn interner_round_trips_arbitrary_names(
         names in prop::collection::vec(arb_deep_domain(), 1..40),
     ) {
         let mut interner = DomainInterner::new();
@@ -182,44 +181,16 @@ proptest! {
         for name in &names {
             let id = name.id();
             prop_assert!(interner.contains_id(id));
+            prop_assert!(interner.contains(name));
             prop_assert_eq!(interner.resolve(id), Some(name));
-            prop_assert_eq!(interner.resolve_str(id), Some(name.as_str()));
-            prop_assert_eq!(interner.resolve_bytes(id), Some(name.as_str().as_bytes()));
         }
-        // The arena holds exactly the distinct names' bytes, and an id
-        // derived from text the interner never saw finds nothing.
+        // One slot per distinct name, and an id derived from text the
+        // interner never saw finds nothing.
         let distinct: std::collections::HashSet<&str> =
             names.iter().map(DomainName::as_str).collect();
-        prop_assert_eq!(
-            interner.arena_bytes(),
-            distinct.iter().map(|s| s.len()).sum::<usize>()
-        );
+        prop_assert_eq!(interner.len(), distinct.len());
         let stranger = DomainId::of("never-interned.invalid");
         prop_assert!(interner.resolve(stranger).is_none());
-        prop_assert!(interner.resolve_bytes(stranger).is_none());
-    }
-
-    /// The precomputed label-boundary table agrees with rescanning the
-    /// resolved text for dots, for every accessor that uses it.
-    #[test]
-    fn interner_label_offsets_match_rescanning(
-        names in prop::collection::vec(arb_deep_domain(), 1..40),
-    ) {
-        let mut interner = DomainInterner::new();
-        for name in &names {
-            interner.intern(name.clone());
-        }
-        for name in &names {
-            let id = name.id();
-            let text = name.as_str();
-            let rescan: Vec<&str> = text.split('.').collect();
-            prop_assert_eq!(interner.tld_of(id), rescan.last().copied());
-            prop_assert_eq!(interner.first_label_of(id), rescan.first().copied());
-            prop_assert_eq!(interner.label_count_of(id), Some(rescan.len()));
-            let walked: Vec<&str> =
-                interner.labels_of(id).expect("interned id has labels").collect();
-            prop_assert_eq!(walked, rescan);
-        }
     }
 
     /// Cache hit/miss counters always sum to the number of lookups.

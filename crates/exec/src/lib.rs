@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 use botmeter_obs::Obs;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -51,11 +50,11 @@ use std::thread;
 /// How a pipeline stage should execute: single-threaded, or fanned out
 /// across a worker pool.
 ///
-/// Every unified pipeline entry point (`ScenarioSpec::run`,
-/// `Topology::process_trace`, `match_stream`, `BotMeter::chart`) takes one
-/// of these; the former `*_parallel`/`run_sequential` twins are deprecated
-/// shims over it. Both variants produce bit-identical pipeline results —
-/// the policy only chooses how the work is scheduled.
+/// Every pipeline entry point (`ScenarioSpec::run`,
+/// `Topology::process_trace`, `match_stream`, `BotMeter::chart_with`) takes
+/// one of these instead of coming in sequential and parallel twins. Both
+/// variants produce bit-identical pipeline results — the policy only
+/// chooses how the work is scheduled.
 ///
 /// # Example
 ///
@@ -420,169 +419,6 @@ where
     *items = runs.pop().unwrap_or_default();
 }
 
-/// What the staged runner shares between the producer thread and the
-/// consuming caller: a bounded in-order queue plus wake-up signals for
-/// both sides.
-struct StageChannel<T> {
-    queue: Mutex<StageQueue<T>>,
-    /// Signalled when an item lands (or the producer finishes).
-    ready: Condvar,
-    /// Signalled when the consumer frees a slot (or aborts).
-    space: Condvar,
-}
-
-struct StageQueue<T> {
-    items: VecDeque<(usize, T)>,
-    /// The producer finished (normally or by panic).
-    done: bool,
-    /// The consumer died; the producer should stop generating.
-    aborted: bool,
-    /// Items whose hand-off had to wait for a free slot.
-    stalls: u64,
-    /// Deepest the queue ever got.
-    high_water: u64,
-}
-
-/// Marks the channel done (and wakes the consumer) when the producer
-/// exits — *including* by panic, so the consumer never waits forever.
-struct ProducerDoneGuard<'a, T>(&'a StageChannel<T>);
-
-impl<T> Drop for ProducerDoneGuard<'_, T> {
-    fn drop(&mut self) {
-        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        q.done = true;
-        drop(q);
-        self.0.ready.notify_all();
-    }
-}
-
-/// Runs a two-stage produce→consume pipeline over `jobs` indexed items
-/// with a bounded hand-off buffer: stage N+1 of the pipeline is generated
-/// while stage N is still being consumed, but never more than `capacity`
-/// finished items sit in memory at once.
-///
-/// `produce(i)` builds item `i`; `consume(i, item)` receives the items
-/// **strictly in index order** under every policy. Sequentially the two
-/// closures simply alternate on the calling thread; under a parallel
-/// policy `produce` runs on one background thread while `consume` runs on
-/// the calling thread, overlapping the stages. Because items are produced
-/// and consumed in index order either way, anything deterministic about a
-/// sequential run stays deterministic under overlap — only the *timing*
-/// changes, which is why this runner's metrics live under the
-/// scheduling-dependent `sched.` prefix: `sched.stream.batches`,
-/// `sched.stream.items`, `sched.stream.queue_high_water` and
-/// `sched.stream.backpressure_stalls` (hand-offs that blocked on a full
-/// buffer).
-///
-/// `capacity` is clamped to ≥ 1. A panic in either closure tears the
-/// pipeline down cleanly — the other side stops promptly instead of
-/// deadlocking on the buffer — and resurfaces on the calling thread.
-pub fn run_staged_with<T, P, C>(
-    policy: ExecPolicy,
-    obs: &Obs,
-    jobs: usize,
-    capacity: usize,
-    mut produce: P,
-    mut consume: C,
-) where
-    T: Send,
-    P: FnMut(usize) -> T + Send,
-    C: FnMut(usize, T),
-{
-    obs.counter_add("sched.stream.batches", 1);
-    obs.counter_add("sched.stream.items", jobs as u64);
-    if jobs == 0 {
-        return;
-    }
-    if policy.is_sequential() {
-        for i in 0..jobs {
-            let item = produce(i);
-            consume(i, item);
-        }
-        return;
-    }
-    let capacity = capacity.max(1);
-    let channel = StageChannel {
-        queue: Mutex::new(StageQueue {
-            items: VecDeque::with_capacity(capacity),
-            done: false,
-            aborted: false,
-            stalls: 0,
-            high_water: 0,
-        }),
-        ready: Condvar::new(),
-        space: Condvar::new(),
-    };
-    let consumer_outcome = thread::scope(|scope| {
-        scope.spawn(|| {
-            let _done = ProducerDoneGuard(&channel);
-            for i in 0..jobs {
-                // Build outside the lock so the consumer drains freely.
-                let item = produce(i);
-                let mut q = channel.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                let mut waited = false;
-                while q.items.len() >= capacity && !q.aborted {
-                    if !waited {
-                        q.stalls += 1;
-                        waited = true;
-                    }
-                    q = channel
-                        .space
-                        .wait(q)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                if q.aborted {
-                    return;
-                }
-                q.items.push_back((i, item));
-                q.high_water = q.high_water.max(q.items.len() as u64);
-                drop(q);
-                channel.ready.notify_all();
-            }
-        });
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            let mut q = channel.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            let next = loop {
-                if let Some(next) = q.items.pop_front() {
-                    break Some(next);
-                }
-                if q.done {
-                    break None;
-                }
-                q = channel
-                    .ready
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            };
-            drop(q);
-            channel.space.notify_all();
-            match next {
-                Some((i, item)) => consume(i, item),
-                None => return,
-            }
-        }));
-        if outcome.is_err() {
-            // Unblock a producer stuck on a full buffer so the scope can
-            // wind down instead of deadlocking.
-            let mut q = channel.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            q.aborted = true;
-            drop(q);
-            channel.space.notify_all();
-        }
-        outcome
-        // A producer panic propagates here when the scope joins it.
-    });
-    let q = channel
-        .queue
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    obs.counter_add("sched.stream.backpressure_stalls", q.stalls);
-    obs.gauge_max("sched.stream.queue_high_water", q.high_water);
-    if let Err(payload) = consumer_outcome {
-        std::panic::resume_unwind(payload);
-    }
-}
-
 /// How many items beyond the consumer's cursor the multi-producer runner
 /// ([`run_pipelined_with`]) may claim at once. Fixed (not derived from the
 /// worker count) so anything accounted against the window — the streaming
@@ -644,20 +480,19 @@ impl<T> Drop for ProducerExitGuard<'_, T> {
 /// concurrently while the calling thread consumes them **strictly in index
 /// order**.
 ///
-/// This is the fan-out form of [`run_staged_with`]: where the staged runner
-/// pins production to one background thread, this one hands item indices to
-/// a pool of producers through a ticket window — a producer may claim index
-/// `i` only once `i < consumed + `[`PIPELINE_WINDOW`], so at most
-/// `PIPELINE_WINDOW` items are in flight (being built or buffered) beyond
-/// the consumer's cursor at any moment. The window is a fixed constant
-/// rather than a function of the worker count, so any memory accounting a
-/// caller derives from it is identical under every policy — the streaming
-/// pipeline's deterministic residency bound depends on exactly that.
+/// Production fans out: item indices go to a pool of producers through a
+/// ticket window — a producer may claim index `i` only once
+/// `i < consumed + `[`PIPELINE_WINDOW`], so at most `PIPELINE_WINDOW` items
+/// are in flight (being built or buffered) beyond the consumer's cursor at
+/// any moment. The window is a fixed constant rather than a function of the
+/// worker count, so any memory accounting a caller derives from it is
+/// identical under every policy — the streaming pipeline's deterministic
+/// residency bound depends on exactly that.
 ///
 /// `produce` must be a pure function of the index (it runs concurrently on
 /// several threads); `consume` runs only on the calling thread, so it may
 /// freely mutate carried state — cache topologies, fault streams,
-/// accumulators — exactly like the single-producer staged runner.
+/// accumulators.
 ///
 /// Sequential policies alternate the two closures inline, which is also the
 /// reference behaviour the determinism suites compare against. Metrics
@@ -1215,122 +1050,6 @@ mod tests {
             |&(k, _)| k,
         );
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn staged_runner_consumes_in_index_order_under_both_policies() {
-        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            let mut seen = Vec::new();
-            run_staged_with(
-                policy,
-                &Obs::noop(),
-                200,
-                4,
-                |i| i * 7,
-                |i, item| seen.push((i, item)),
-            );
-            assert_eq!(seen.len(), 200, "{policy:?}");
-            for (k, &(i, item)) in seen.iter().enumerate() {
-                assert_eq!(i, k);
-                assert_eq!(item, k * 7);
-            }
-        }
-    }
-
-    #[test]
-    fn staged_runner_zero_jobs_is_inert() {
-        run_staged_with(
-            ExecPolicy::with_threads(4),
-            &Obs::noop(),
-            0,
-            8,
-            |i| i,
-            |_, _| panic!("no items to consume"),
-        );
-    }
-
-    #[test]
-    fn staged_runner_reports_stream_metrics_and_bounds_the_buffer() {
-        let (obs, registry) = botmeter_obs::Obs::collecting();
-        run_staged_with(
-            ExecPolicy::with_threads(2),
-            &obs,
-            64,
-            2,
-            |i| vec![i; 16],
-            |_, _| thread::sleep(std::time::Duration::from_micros(200)),
-        );
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("sched.stream.batches"), Some(1));
-        assert_eq!(snap.counter("sched.stream.items"), Some(64));
-        let high = snap.counter("sched.stream.queue_high_water").unwrap_or(0);
-        assert!(high <= 2, "buffer bound violated: {high}");
-        // With a sleeping consumer and a 2-slot buffer the producer must
-        // have blocked at least once.
-        assert!(
-            snap.counter("sched.stream.backpressure_stalls")
-                .unwrap_or(0)
-                > 0
-        );
-        // All stream metrics are scheduling-dependent and excluded from
-        // the determinism contract.
-        assert!(snap
-            .deterministic_counters()
-            .iter()
-            .all(|c| !c.name.starts_with("sched.")));
-    }
-
-    #[test]
-    fn staged_runner_producer_panic_resurfaces_without_deadlock() {
-        with_silent_panics(|| {
-            let consumed = AtomicUsize::new(0);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_staged_with(
-                    ExecPolicy::with_threads(2),
-                    &Obs::noop(),
-                    50,
-                    4,
-                    |i| {
-                        if i == 10 {
-                            panic!("producer died");
-                        }
-                        i
-                    },
-                    |_, _| {
-                        consumed.fetch_add(1, Ordering::Relaxed);
-                    },
-                );
-            }));
-            assert!(caught.is_err(), "producer panic must resurface");
-            // The consumer saw only a prefix, strictly in order.
-            assert!(consumed.load(Ordering::Relaxed) <= 10);
-        });
-    }
-
-    #[test]
-    fn staged_runner_consumer_panic_resurfaces_without_deadlock() {
-        with_silent_panics(|| {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_staged_with(
-                    ExecPolicy::with_threads(2),
-                    &Obs::noop(),
-                    1000,
-                    1,
-                    |i| i,
-                    |i, _| {
-                        if i == 3 {
-                            panic!("consumer died");
-                        }
-                    },
-                );
-            }));
-            let payload = caught.expect_err("consumer panic must resurface");
-            let msg = payload
-                .downcast_ref::<&'static str>()
-                .copied()
-                .unwrap_or("");
-            assert_eq!(msg, "consumer died");
-        });
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::stream::QualityCursor;
 use crate::{DomainMatcher, StreamQuality};
-use botmeter_dns::{CompactObserved, DomainId, DomainInterner, DomainName, ObservedLookup};
+use botmeter_dns::{DomainName, ObservedLookup};
 use botmeter_obs::Obs;
 use botmeter_sketch::{SketchConfig, SketchedTraffic};
 
@@ -93,34 +93,6 @@ impl<'a, M: DomainMatcher> SketchStream<'a, M> {
                 if hit {
                     self.cursor.note_matched(lookup);
                     if self.sketch.push(lookup).evicted {
-                        self.evictions += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The id-resident [`ingest`](Self::ingest): scans one arrival-order
-    /// chunk of compact records, probing by [`DomainId`] through
-    /// `interner`'s bytes arena and hydrating *only the hits* for the
-    /// cursor and sketch folds. Bit-identical to hydrating the chunk and
-    /// calling [`ingest`](Self::ingest), but misses — the overwhelming
-    /// majority of border traffic — never touch a name allocation.
-    pub fn ingest_compact(&mut self, chunk: &[CompactObserved], interner: &DomainInterner) {
-        self.cursor.note_scanned(chunk.len());
-        let mut ids: Vec<DomainId> = Vec::with_capacity(PROBE_BLOCK.min(chunk.len()));
-        for block in chunk.chunks(PROBE_BLOCK) {
-            ids.clear();
-            ids.extend(block.iter().map(|l| l.domain));
-            self.matcher
-                .matches_id_batch(&ids, interner, &mut self.hits);
-            for (lookup, &hit) in block.iter().zip(self.hits.iter()) {
-                if hit {
-                    let lookup = lookup
-                        .hydrate(interner)
-                        .expect("matched ids resolve through the interner that produced them");
-                    self.cursor.note_matched(&lookup);
-                    if self.sketch.push(&lookup).evicted {
                         self.evictions += 1;
                     }
                 }
@@ -241,29 +213,6 @@ mod tests {
         assert_eq!(sketch.total(), expected);
         assert_eq!(quality.matched as u64, expected);
         assert_eq!(quality.scanned, stream.len());
-    }
-
-    #[test]
-    fn compact_ingest_equals_name_ingest_bit_for_bit() {
-        let stream = stream();
-        let mut interner = botmeter_dns::DomainInterner::new();
-        for l in &stream {
-            interner.intern(l.domain.clone());
-        }
-        let compact: Vec<_> = stream.iter().map(ObservedLookup::compact).collect();
-        let matcher = matcher();
-        let mut by_name = SketchStream::new(&matcher, config(), Obs::noop());
-        by_name.ingest(&stream);
-        let (by_name, name_quality) = by_name.finish();
-        for chunk_len in [1, 7, 64, 199] {
-            let mut by_id = SketchStream::new(&matcher, config(), Obs::noop());
-            for chunk in compact.chunks(chunk_len) {
-                by_id.ingest_compact(chunk, &interner);
-            }
-            let (by_id, id_quality) = by_id.finish();
-            assert_eq!(by_id, by_name, "chunk_len {chunk_len}");
-            assert_eq!(id_quality, name_quality, "chunk_len {chunk_len}");
-        }
     }
 
     #[test]

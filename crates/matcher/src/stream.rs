@@ -2,9 +2,7 @@
 //! matched sub-streams the estimators consume (Fig. 2, steps 3–4).
 
 use crate::DomainMatcher;
-use botmeter_dns::{
-    CompactLookup, CompactObserved, DomainId, DomainInterner, DomainName, ObservedLookup, ServerId,
-};
+use botmeter_dns::{DomainName, ObservedLookup, ServerId};
 use botmeter_exec::ExecPolicy;
 use botmeter_obs::Obs;
 use serde::{Deserialize, Serialize};
@@ -418,39 +416,6 @@ fn scan<M: DomainMatcher>(observed: &[ObservedLookup], matcher: &M) -> MatchedTr
     matched
 }
 
-/// The id-resident sibling of [`scan`]: probes each [`PROBE_BLOCK`] of
-/// compact records through [`DomainMatcher::matches_id_batch`] — byte-level
-/// matchers scan the interner's arena directly — and hydrates *only the
-/// hits* into the accumulated [`MatchedTraffic`]. Verdict-equivalent to
-/// hydrating the whole block up front and running [`scan`], but the
-/// (overwhelmingly more common) misses never touch a name allocation.
-fn scan_compact<M: DomainMatcher>(
-    observed: &[CompactObserved],
-    interner: &DomainInterner,
-    matcher: &M,
-) -> MatchedTraffic {
-    let mut matched = MatchedTraffic::default();
-    let mut ids: Vec<DomainId> = Vec::with_capacity(PROBE_BLOCK.min(observed.len()));
-    let mut hits: Vec<bool> = Vec::with_capacity(PROBE_BLOCK.min(observed.len()));
-    for block in observed.chunks(PROBE_BLOCK) {
-        ids.clear();
-        ids.extend(block.iter().map(|l| l.domain));
-        matcher.matches_id_batch(&ids, interner, &mut hits);
-        debug_assert_eq!(hits.len(), block.len(), "matches_id_batch verdict count");
-        for (lookup, &hit) in block.iter().zip(&hits) {
-            if hit {
-                matched.push(
-                    lookup
-                        .hydrate(interner)
-                        .expect("matched ids resolve through the interner that produced them"),
-                );
-            }
-        }
-    }
-    matched.scanned = observed.len();
-    matched
-}
-
 /// An incremental [`match_stream`]: feed the observed stream in
 /// arrival-order chunks and get the same [`MatchedTraffic`] (and the same
 /// `matcher.*` metrics) a single whole-trace scan would produce.
@@ -527,70 +492,10 @@ impl<'a, M: DomainMatcher + Sync> StreamMatcher<'a, M> {
         self.acc.append(matched);
     }
 
-    /// The id-resident [`ingest`](Self::ingest): scans one arrival-order
-    /// chunk of compact records, probing by [`DomainId`] through
-    /// `interner`'s bytes arena and hydrating only the hits.
-    ///
-    /// Bit-identical to hydrating the chunk and calling
-    /// [`ingest`](Self::ingest) — same [`MatchedTraffic`], same
-    /// `matcher.*` metrics — but the scan itself allocates nothing and the
-    /// per-record probe never touches an `Arc`. This is the matching stage
-    /// the zero-allocation streaming pipeline drives with recycled shard
-    /// buffers.
-    pub fn ingest_compact(&mut self, chunk: &[CompactObserved], interner: &DomainInterner) {
-        if chunk.is_empty() {
-            return;
-        }
-        let matched = if self.policy.worker_threads() <= 1 || chunk.len() < MIN_PARALLEL_MATCH {
-            scan_compact(chunk, interner, self.matcher)
-        } else {
-            let chunks = botmeter_exec::map_chunks_with(self.policy, &self.obs, chunk, |_, c| {
-                scan_compact(c, interner, self.matcher)
-            });
-            let mut merged = MatchedTraffic::default();
-            for c in chunks {
-                merged.append(c);
-            }
-            merged
-        };
-        self.acc.append(matched);
-    }
-
     /// The matched traffic accumulated so far (final after the last
     /// [`ingest`](Self::ingest)).
     pub fn matched_so_far(&self) -> &MatchedTraffic {
         &self.acc
-    }
-
-    /// Probes a batch of domains against the underlying matcher, one
-    /// verdict per domain (`hits` is cleared and refilled) — the raw
-    /// vectorized membership test, with none of the stream bookkeeping.
-    ///
-    /// Callers that already hold their candidates densely (a decoder ring
-    /// of interned names, a dedup front-end) can pre-filter through this
-    /// before paying [`ingest`](Self::ingest)'s per-lookup grouping.
-    /// Verdicts are identical to [`DomainMatcher::matches`] probe by probe.
-    pub fn probe_batch(&self, domains: &[&DomainName], hits: &mut Vec<bool>) {
-        self.matcher.matches_batch(domains, hits);
-    }
-
-    /// [`probe_batch`](Self::probe_batch) over id-resident records: one
-    /// verdict per lookup (`hits` is cleared and refilled), resolving each
-    /// domain through `interner`'s bytes arena. Verdicts are identical to
-    /// hydrating the lookup and probing [`DomainMatcher::matches`]; ids
-    /// unknown to the interner reject.
-    pub fn probe_batch_compact(
-        &self,
-        lookups: &[CompactLookup],
-        interner: &DomainInterner,
-        hits: &mut Vec<bool>,
-    ) {
-        hits.clear();
-        hits.extend(
-            lookups
-                .iter()
-                .map(|l| self.matcher.matches_id(l.domain, interner)),
-        );
     }
 
     /// Emits the batched `matcher.*` metrics and returns the result —
@@ -599,18 +504,6 @@ impl<'a, M: DomainMatcher + Sync> StreamMatcher<'a, M> {
         record_metrics(&self.obs, &self.acc);
         self.acc
     }
-}
-
-/// Parallel [`match_stream`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `match_stream(observed, matcher, ExecPolicy::parallel())`"
-)]
-pub fn match_stream_parallel<M: DomainMatcher + Sync>(
-    observed: &[ObservedLookup],
-    matcher: &M,
-) -> MatchedTraffic {
-    match_stream(observed, matcher, ExecPolicy::parallel())
 }
 
 #[cfg(test)]
@@ -709,14 +602,6 @@ mod tests {
     fn parallel_short_stream_falls_back() {
         let stream = vec![obs(0, 1, "a.evil.example")];
         let m = match_stream(&stream, &matcher(), ExecPolicy::parallel());
-        assert_eq!(m.total_matched(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_shim_still_works() {
-        let stream = vec![obs(0, 1, "a.evil.example")];
-        let m = match_stream_parallel(&stream, &matcher());
         assert_eq!(m.total_matched(), 1);
     }
 
@@ -952,72 +837,6 @@ mod tests {
             }
             assert_eq!(c.quality(), whole, "chunk_len {chunk_len} diverged");
         }
-    }
-
-    #[test]
-    fn compact_ingest_equals_name_ingest_bit_for_bit() {
-        let stream = anomalous_stream(6000);
-        let mut interner = botmeter_dns::DomainInterner::new();
-        for l in &stream {
-            interner.intern(l.domain.clone());
-        }
-        let compact: Vec<_> = stream.iter().map(ObservedLookup::compact).collect();
-        let m = matcher();
-        for policy in [ExecPolicy::Sequential, ExecPolicy::with_threads(4)] {
-            for chunk_len in [1usize, 37, 999, 4096, 10_000] {
-                let (h_name, r_name) = Obs::collecting();
-                let mut by_name = StreamMatcher::new(&m, policy, h_name);
-                for chunk in stream.chunks(chunk_len) {
-                    by_name.ingest(chunk);
-                }
-                let by_name = by_name.finish();
-
-                let (h_id, r_id) = Obs::collecting();
-                let mut by_id = StreamMatcher::new(&m, policy, h_id);
-                for chunk in compact.chunks(chunk_len) {
-                    by_id.ingest_compact(chunk, &interner);
-                }
-                let by_id = by_id.finish();
-
-                assert_eq!(
-                    by_id, by_name,
-                    "chunk_len {chunk_len} under {policy:?} diverged"
-                );
-                assert_eq!(
-                    r_id.snapshot().deterministic_counters(),
-                    r_name.snapshot().deterministic_counters(),
-                    "metrics diverged at chunk_len {chunk_len} under {policy:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn probe_batch_compact_matches_per_domain_verdicts() {
-        let stream = anomalous_stream(300);
-        let mut interner = botmeter_dns::DomainInterner::new();
-        for l in &stream {
-            interner.intern(l.domain.clone());
-        }
-        let raws: Vec<_> = stream
-            .iter()
-            .map(|l| CompactLookup::new(l.t, botmeter_dns::ClientId(0), l.domain.id()))
-            .collect();
-        let m = matcher();
-        let sm = StreamMatcher::new(&m, ExecPolicy::Sequential, Obs::noop());
-        let mut hits = Vec::new();
-        sm.probe_batch_compact(&raws, &interner, &mut hits);
-        let expected: Vec<bool> = stream.iter().map(|l| m.matches(&l.domain)).collect();
-        assert_eq!(hits, expected);
-        assert!(expected.iter().any(|&h| h) && expected.iter().any(|&h| !h));
-        // Ids unknown to the interner reject.
-        let stranger = [CompactLookup::new(
-            SimInstant::ZERO,
-            botmeter_dns::ClientId(0),
-            botmeter_dns::DomainId(u64::MAX),
-        )];
-        sm.probe_batch_compact(&stranger, &interner, &mut hits);
-        assert_eq!(hits, vec![false]);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use crate::evasion::EvasionStrategy;
 use crate::sink::{FnSink, ShardSink};
 use botmeter_dga::DgaFamily;
 use botmeter_dns::{
-    ClientId, CompactLookup, CompactObserved, CompactTopology, DomainId, DomainInterner,
-    ObservedLookup, RawLookup, SimDuration, SimInstant, Topology, TtlPolicy,
+    ClientId, CompactLookup, CompactObserved, DomainId, DomainInterner, ObservedLookup, RawLookup,
+    SimDuration, SimInstant, Topology, TtlPolicy,
 };
 use botmeter_exec::ExecPolicy;
 use botmeter_faults::{FaultPlan, FaultPlanError, FaultReport, FaultStream};
@@ -55,7 +55,9 @@ pub enum PipelineMode {
     /// than a few shards of raw records are ever resident (see
     /// [`ScenarioSpec::run_streaming`]).
     Streaming {
-        /// Shard width; `None` picks `epoch_len / 16`.
+        /// Shard width; `None` picks `epoch_len / 16`. A zero width fails
+        /// [`ScenarioSpecBuilder::build`] with
+        /// [`ScenarioBuildError::ZeroShardWidth`].
         shard: Option<SimDuration>,
     },
 }
@@ -129,6 +131,8 @@ pub enum ScenarioBuildError {
     BadEvasion(&'static str),
     /// The fault plan's parameters are out of domain.
     BadFaults(FaultPlanError),
+    /// A streaming pipeline's shard width must be at least 1 ms.
+    ZeroShardWidth,
 }
 
 impl fmt::Display for ScenarioBuildError {
@@ -141,6 +145,9 @@ impl fmt::Display for ScenarioBuildError {
             }
             ScenarioBuildError::BadEvasion(msg) => write!(f, "invalid evasion strategy: {msg}"),
             ScenarioBuildError::BadFaults(err) => write!(f, "invalid fault plan: {err}"),
+            ScenarioBuildError::ZeroShardWidth => {
+                write!(f, "streaming shard width must be at least 1 ms")
+            }
         }
     }
 }
@@ -401,12 +408,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// Single-threaded reference run.
-    #[deprecated(since = "0.1.0", note = "use `run(ExecPolicy::Sequential)`")]
-    pub fn run_sequential(&self) -> ScenarioOutcome {
-        self.run(ExecPolicy::Sequential)
-    }
-
     /// Runs the fused streaming pipeline: simulate → cache-filter → fault
     /// over fixed-width time shards, never materializing the raw trace.
     ///
@@ -509,8 +510,7 @@ impl ScenarioSpec {
 
         // Intern every pool domain once, up front: producers then work
         // purely in ids (8-byte `Copy` records, no `Arc` traffic), and the
-        // interner's bytes arena resolves them back to text at the egress
-        // edge. Pool materialisation draws no rng, so planning streams are
+        // interner resolves them back to names at the egress edge. Pool materialisation draws no rng, so planning streams are
         // untouched; fingerprint collisions would panic here, which is what
         // makes id equality stand in for name equality downstream.
         let mut interner = DomainInterner::new();
@@ -529,7 +529,9 @@ impl ScenarioSpec {
         let shard_len = shard.unwrap_or_else(|| {
             SimDuration::from_millis((epoch_len.as_millis() / DEFAULT_SHARDS_PER_EPOCH).max(1))
         });
-        let shard_ms = shard_len.as_millis().max(1);
+        // Never zero: `build()` rejects a zero width and the default is
+        // clamped to 1 ms above.
+        let shard_ms = shard_len.as_millis();
         // Horizon: the last activation plus the family's per-bot replay
         // span bound. (The catch-all last shard sweeps up any residue.)
         let last_activation = plans
@@ -631,7 +633,7 @@ impl ScenarioSpec {
         // fault; hydration through the interner happens once per *released*
         // record at the egress edge — the cache-filtered stream is roughly
         // an order of magnitude smaller than the raw one.
-        let mut topology = CompactTopology::single_local(self.ttl);
+        let mut topology: Topology<DomainId> = Topology::single_local(self.ttl);
         topology.set_obs(self.obs.clone());
         let mut fault_stream: Option<FaultStream<CompactObserved>> =
             self.faults.as_ref().map(FaultPlan::stream);
@@ -672,7 +674,7 @@ impl ScenarioSpec {
                 filtered_any = true;
                 let mut chunk: Vec<CompactObserved> = Vec::new();
                 topology
-                    .process_trace_into(&in_shard, &interner, &authority, policy, &mut chunk)
+                    .process_trace_into(&in_shard, (&interner, &authority), policy, &mut chunk)
                     .expect("single-local topology routes every client");
                 for o in &mut chunk {
                     o.t = o.t.quantize(self.granularity);
@@ -718,7 +720,8 @@ impl ScenarioSpec {
         if !filtered_any {
             // Mirror the materializing path's single (empty) filter call so
             // the topology counters agree even for an empty trace.
-            let _ = topology.process_trace(&[], &interner, &authority, policy);
+            let _ =
+                topology.process_trace::<CompactLookup, _>(&[], (&interner, &authority), policy);
         }
         let fault_report = fault_stream.map(FaultStream::finish).map(|(tail, report)| {
             if !tail.is_empty() {
@@ -928,6 +931,11 @@ impl ScenarioSpecBuilder {
         if let Some(plan) = &self.faults {
             plan.validate().map_err(ScenarioBuildError::BadFaults)?;
         }
+        if let PipelineMode::Streaming { shard: Some(width) } = self.pipeline {
+            if width.as_millis() == 0 {
+                return Err(ScenarioBuildError::ZeroShardWidth);
+            }
+        }
         Ok(ScenarioSpec {
             family: self.family,
             population: self.population,
@@ -1059,6 +1067,21 @@ mod tests {
                 .unwrap_err(),
             ScenarioBuildError::BadSigma
         );
+        assert_eq!(
+            ScenarioSpec::builder(DgaFamily::murofet())
+                .pipeline(PipelineMode::Streaming {
+                    shard: Some(SimDuration::from_millis(0)),
+                })
+                .build()
+                .unwrap_err(),
+            ScenarioBuildError::ZeroShardWidth
+        );
+        assert!(ScenarioSpec::builder(DgaFamily::murofet())
+            .pipeline(PipelineMode::Streaming {
+                shard: Some(SimDuration::from_millis(1)),
+            })
+            .build()
+            .is_ok());
     }
 
     #[test]

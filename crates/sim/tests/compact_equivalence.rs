@@ -1,6 +1,6 @@
 //! Property-based referee for the ID-resident hot path: the streaming
-//! pipeline replays bots as `CompactLookup` records (domain = `DomainId`
-//! into the interner arena) and hydrates names only at the egress
+//! pipeline replays bots as `CompactLookup` records (domain = `DomainId`,
+//! resolved through the interner) and hydrates names only at the egress
 //! boundary, while the materializing pipeline still replays string-keyed
 //! `RawLookup`s. For **any** scenario the two must agree bit-for-bit on
 //! every externally visible artefact — observed trace (hydrated names

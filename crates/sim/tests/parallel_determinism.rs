@@ -407,17 +407,3 @@ fn streaming_shard_widths_are_bit_identical_per_worker_count() {
         }
     }
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_sequential_matches_sequential_policy() {
-    let spec = ScenarioSpec::builder(DgaFamily::murofet())
-        .population(12)
-        .seed(3)
-        .build()
-        .expect("valid spec");
-    let via_shim = spec.run_sequential();
-    let via_policy = spec.run(ExecPolicy::Sequential);
-    assert_eq!(via_shim.raw(), via_policy.raw());
-    assert_eq!(via_shim.observed(), via_policy.observed());
-}

@@ -7,24 +7,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> deprecated entry-point grep gate"
-# The dual sequential/parallel entry points are deprecated shims; new code
-# must go through the unified ExecPolicy API. `chart_parallel` is fully
-# removed (no occurrences allowed anywhere); the other shim definitions
-# (and their shim-coverage tests) remain confined to the files below.
+echo "==> removed dual entry-point grep gate"
+# The sequential/parallel twins of the pipeline entry points were
+# deprecated shims and are now fully removed: no file may mention the old
+# names. Every caller passes an ExecPolicy to the unified entry point.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
-  | grep -vxF \
-      -e crates/sim/src/scenario.rs \
-      -e crates/sim/tests/parallel_determinism.rs \
-      -e crates/dns/src/topology.rs \
-      -e crates/matcher/src/stream.rs \
-      -e crates/matcher/src/lib.rs \
-      -e crates/exec/src/lib.rs \
   || true)
 if [[ -n "$offenders" ]]; then
-  echo "error: deprecated dual entry points used outside their shim files:" >&2
+  echo "error: removed dual entry points referenced:" >&2
   echo "$offenders" >&2
   echo "use the unified ExecPolicy-taking API instead." >&2
   exit 1
@@ -122,6 +114,12 @@ cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> benchmark build + smoke (perfbench is its own workspace)"
+# perfbench/ drives the crates through their public APIs from a separate
+# Cargo workspace, so the workspace build above never compiles it. Its
+# smoke test builds it and runs every workload at a tiny size.
+cargo test --manifest-path perfbench/Cargo.toml -q
 
 echo "==> perf smoke (throughput + charting + residency + scaling + alloc gate)"
 # Fails if raw simulation throughput or estimator-charting throughput
