@@ -2,8 +2,10 @@
 //! both execution policies and both pipeline modes, and writes the evidence
 //! to `BENCH_pipeline.json`: wall times, lookup throughput, speedup, the
 //! worker-thread count each variant actually used and the peak number of
-//! raw-trace records resident in memory (the materializing path holds the
-//! full trace; the streaming path holds a few time shards). A final,
+//! raw-trace records resident in memory. Both modes run the one sharded
+//! pipeline: the `parallel` / `sequential` variants time its retain-raw
+//! run (`PipelineMode::Materialize`, which keeps the full raw trace), the
+//! `streaming` variants its bounded run (a few time shards). A final,
 //! instrumented pass runs the streaming pipeline with a collecting
 //! [`Obs`] recorder attached and dumps the full [`MetricsSnapshot`] —
 //! per-server cache hits/misses, border filter counts, matcher
@@ -42,7 +44,10 @@ struct Report {
     raw_lookups: u64,
     observed_lookups: usize,
     landscape_cells: usize,
+    /// Retain-raw run (`PipelineMode::Materialize`) of the one pipeline
+    /// under the parallel policy: the full raw trace stays resident.
     parallel: Variant,
+    /// The same retain-raw run under the sequential policy.
     sequential: Variant,
     /// Fused simulate→filter→fault pipeline (parallel policy): same
     /// outputs, bounded residency.
@@ -267,6 +272,8 @@ fn main() {
     // One untimed warmup run: the first pipeline execution pays for page
     // faults and allocator growth over the trace's full footprint, which
     // would otherwise be billed to whichever variant runs first.
+    // `par` / `seq` time the retain-raw run of the one pipeline; the
+    // streaming variants drop each shard's raw records once filtered.
     let _ = bench.measure(parallel, PipelineMode::Materialize);
     let par = bench.measure(parallel, PipelineMode::Materialize);
     let seq = bench.measure(ExecPolicy::Sequential, PipelineMode::Materialize);
@@ -282,11 +289,11 @@ fn main() {
     );
     assert_eq!(
         par.raw_lookups, stream.raw_lookups,
-        "streaming and materializing runs must agree"
+        "streaming and retain-raw runs must agree"
     );
     assert_eq!(
         par.observed_lookups, stream.observed_lookups,
-        "streaming and materializing observed traces must agree"
+        "streaming and retain-raw observed traces must agree"
     );
 
     let par_total = par.simulate_secs + par.chart_secs;

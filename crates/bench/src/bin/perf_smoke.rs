@@ -117,6 +117,9 @@ fn main() {
             .expect("valid scenario")
     };
 
+    // The throughput gates time the retain-raw run of the one pipeline
+    // (`PipelineMode::Materialize`: sharded replay that also keeps the raw
+    // trace), the mode the baseline's `parallel` variant records.
     // Warmup pays the one-time page-fault/allocator cost.
     let _ = spec(PipelineMode::Materialize).run(ExecPolicy::parallel());
 
@@ -141,7 +144,8 @@ fn main() {
         let chart_secs = started.elapsed().as_secs_f64();
         let chart_rate = outcome.observed().len() as f64 / chart_secs.max(1e-9);
         eprintln!(
-            "perf_smoke: run {}/{runs}: {:.0} raw lookups/sec ({} lookups in {secs:.3}s), \
+            "perf_smoke: retain-raw run {}/{runs}: {:.0} raw lookups/sec \
+             ({} lookups in {secs:.3}s), \
              {:.0} chart lookups/sec ({} cells in {chart_secs:.3}s)",
             run + 1,
             rate,

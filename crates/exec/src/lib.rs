@@ -337,88 +337,6 @@ pub fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// [`par_sort_by_key_with`] under the default policy with no metrics.
-pub fn par_sort_by_key<T, K, F>(items: &mut Vec<T>, key: F)
-where
-    T: Send,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    par_sort_by_key_with(ExecPolicy::default(), &Obs::noop(), items, key)
-}
-
-/// Stable parallel sort by key: chunk-sorts in parallel, then merges
-/// adjacent runs pairwise (also in parallel) until one run remains.
-///
-/// Produces exactly the same ordering as `slice::sort_by_key` (which is
-/// stable), so sequential and parallel pipelines agree bit-for-bit even when
-/// keys collide.
-pub fn par_sort_by_key_with<T, K, F>(policy: ExecPolicy, obs: &Obs, items: &mut Vec<T>, key: F)
-where
-    T: Send,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    let workers = policy.worker_threads();
-    if workers <= 1 || items.len() < 2 {
-        items.sort_by_key(key);
-        return;
-    }
-
-    // Phase 1: split into contiguous chunks and sort each independently
-    // (stable) in parallel.
-    let bounds = chunk_bounds(items.len(), workers);
-    let mut remaining = std::mem::take(items);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(bounds.len());
-    for &(start, _) in bounds.iter().rev() {
-        chunks.push(remaining.split_off(start));
-    }
-    chunks.reverse();
-    let chunk_slots: Vec<Mutex<Option<Vec<T>>>> =
-        chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let sorted: Vec<Vec<T>> = run_indexed_with(policy, obs, chunk_slots.len(), |i| {
-        let mut chunk = chunk_slots[i]
-            .lock()
-            .expect("chunk slot poisoned")
-            .take()
-            .expect("chunk present");
-        chunk.sort_by_key(&key);
-        chunk
-    });
-
-    // Phase 2: pairwise stable merges until a single run remains. Merging
-    // adjacent runs left-to-right (ties favour the left run) reproduces the
-    // stable global order.
-    let mut runs = sorted;
-    while runs.len() > 1 {
-        let pair_count = runs.len() / 2;
-        let has_tail = runs.len() % 2 == 1;
-        let tail = if has_tail { runs.pop() } else { None };
-        type MergePair<T> = Mutex<Option<(Vec<T>, Vec<T>)>>;
-        let slots: Vec<MergePair<T>> = {
-            let mut pairs = Vec::with_capacity(pair_count);
-            let mut iter = runs.drain(..);
-            while let (Some(a), Some(b)) = (iter.next(), iter.next()) {
-                pairs.push(Mutex::new(Some((a, b))));
-            }
-            pairs
-        };
-        let mut merged: Vec<Vec<T>> = run_indexed_with(policy, obs, slots.len(), |i| {
-            let (a, b) = slots[i]
-                .lock()
-                .expect("merge slot poisoned")
-                .take()
-                .expect("pair present");
-            merge_stable(a, b, &key)
-        });
-        if let Some(t) = tail {
-            merged.push(t);
-        }
-        runs = merged;
-    }
-    *items = runs.pop().unwrap_or_default();
-}
-
 /// How many items beyond the consumer's cursor the multi-producer runner
 /// ([`run_pipelined_with`]) may claim at once. Fixed (not derived from the
 /// worker count) so anything accounted against the window — the streaming
@@ -1022,37 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn par_sort_matches_sequential_stable_sort() {
-        // Many duplicate keys so stability is observable through the payload.
-        let mut a: Vec<(u32, usize)> = (0..5000)
-            .map(|i| ((i as u32).wrapping_mul(2654435761) % 17, i))
-            .collect();
-        let mut b = a.clone();
-        a.sort_by_key(|&(k, _)| k);
-        par_sort_by_key(&mut b, |&(k, _)| k);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn par_sort_with_explicit_policies_agrees() {
-        let build = || -> Vec<(u32, usize)> {
-            (0..3000)
-                .map(|i| ((i as u32).wrapping_mul(2654435761) % 13, i))
-                .collect()
-        };
-        let mut seq = build();
-        let mut par = build();
-        par_sort_by_key_with(ExecPolicy::Sequential, &Obs::noop(), &mut seq, |&(k, _)| k);
-        par_sort_by_key_with(
-            ExecPolicy::with_threads(4),
-            &Obs::noop(),
-            &mut par,
-            |&(k, _)| k,
-        );
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     fn pipelined_runner_consumes_in_index_order_under_every_worker_count() {
         for workers in [1usize, 2, 4, 8, 16] {
             let mut seen = Vec::new();
@@ -1286,15 +1173,5 @@ mod tests {
             .deterministic_counters()
             .iter()
             .all(|c| !c.name.starts_with("sched.pool.")));
-    }
-
-    #[test]
-    fn par_sort_handles_small_inputs() {
-        let mut v: Vec<u32> = vec![];
-        par_sort_by_key(&mut v, |&x| x);
-        assert!(v.is_empty());
-        let mut v = vec![3u32, 1, 2];
-        par_sort_by_key(&mut v, |&x| x);
-        assert_eq!(v, vec![1, 2, 3]);
     }
 }

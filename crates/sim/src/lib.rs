@@ -15,9 +15,13 @@
 //!    timestamps quantised to the trace's granularity).
 //!
 //! [`ScenarioSpec`] packages the whole pipeline for the paper's synthetic
-//! experiments (Fig. 6); [`EnterpriseSpec`] builds the year-long
-//! multi-family enterprise trace behind Fig. 7 / Table II, including benign
-//! background traffic.
+//! experiments (Fig. 6) as one fused run over fixed-width time shards:
+//! replay, cache filtering and faults proceed shard by shard, and its
+//! [`PipelineMode`] only decides whether the raw trace is kept
+//! ([`ScenarioOutcome::raw`]) or dropped as it goes; a [`ShardSink`] can
+//! consume the observed trace shard by shard. [`EnterpriseSpec`] builds
+//! the year-long multi-family enterprise trace behind Fig. 7 / Table II,
+//! including benign background traffic.
 //!
 //! # Example
 //!
@@ -58,5 +62,5 @@ pub use evasion::EvasionStrategy;
 pub use scenario::{
     PipelineMode, ScenarioBuildError, ScenarioOutcome, ScenarioSpec, ScenarioSpecBuilder,
 };
-pub use sink::{FnSink, ShardSink};
+pub use sink::ShardSink;
 pub use waves::WaveConfig;

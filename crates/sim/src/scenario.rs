@@ -1,10 +1,9 @@
 //! The synthetic-trace scenario: the paper's Fig. 6 experiment pipeline.
 
 use crate::activation::ActivationModel;
-use crate::bot::{replay_barrel, simulate_activation};
 use crate::compact::{self, CompactShardBatch};
 use crate::evasion::EvasionStrategy;
-use crate::sink::{FnSink, ShardSink};
+use crate::sink::ShardSink;
 use botmeter_dga::DgaFamily;
 use botmeter_dns::{
     ClientId, CompactLookup, CompactObserved, DomainId, DomainInterner, ObservedLookup, RawLookup,
@@ -37,23 +36,26 @@ const STREAM_ACCOUNT_WINDOW: usize = botmeter_exec::PIPELINE_WINDOW + 1;
 /// bounding how much capacity an overflow burst can pin after the run.
 const POOL_RETAIN: usize = 4 * STREAM_ACCOUNT_WINDOW;
 
-/// How a scenario run materialises its intermediate raw trace.
+/// What a scenario run keeps of its intermediate raw trace.
 ///
-/// Both modes produce **bit-identical** [`ScenarioOutcome::observed`]
-/// traces, fault reports and deterministic counters — the
-/// `streaming_equivalence` and `parallel_determinism` suites enforce it —
-/// so the choice is purely a memory/latency trade-off.
+/// Both modes run the one fused pipeline — simulate → cache-filter → fault
+/// over fixed-width time shards (see [`ScenarioSpec::run`]) — and produce
+/// **bit-identical** [`ScenarioOutcome::observed`] traces, fault reports
+/// and deterministic counters; the oracle tests in this module and the
+/// `parallel_determinism` suite enforce it. The choice is purely a memory
+/// trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum PipelineMode {
-    /// Build the full raw trace in memory, then filter, then fault — the
-    /// reference path, and the only one that exposes
-    /// [`ScenarioOutcome::raw`].
+    /// Keep the whole raw trace: every shard's merged, time-sorted raw
+    /// records are appended to [`ScenarioOutcome::raw`], so the run's
+    /// resident high-water mark is the trace length. Uses the default
+    /// shard width (`epoch_len / 16`).
     #[default]
     Materialize,
-    /// Fuse simulate→filter→fault over fixed-width time shards so no more
-    /// than a few shards of raw records are ever resident (see
-    /// [`ScenarioSpec::run_streaming`]).
+    /// Drop each shard's raw records once it has been filtered, so no more
+    /// than a few shards of raw records are ever resident and
+    /// [`ScenarioOutcome::raw`] stays empty.
     Streaming {
         /// Shard width; `None` picks `epoch_len / 16`. A zero width fails
         /// [`ScenarioSpecBuilder::build`] with
@@ -183,80 +185,53 @@ impl ScenarioSpec {
     }
 
     /// Runs the simulation under `policy`: activations → raw lookups →
-    /// cache filtering.
+    /// cache filtering → faults, fused over fixed-width time shards.
     ///
-    /// Under a parallel policy, bot replays fan out across the worker pool:
-    /// every bot's RNG is an independently seeded ChaCha substream derived
-    /// from the scenario's [`SeedSequence`], so no draw depends on which
-    /// thread replays which bot. The outcome is bit-identical to
-    /// `run(ExecPolicy::Sequential)` for the same spec — the determinism
-    /// tests enforce it, including on the metrics counters an attached
-    /// [`Obs`] collects (`sim.activations`, `sim.bots_replayed`,
-    /// `sim.raw_lookups`, `sim.observed_lookups`, plus the per-bot
+    /// Under a parallel policy, shard production (bot replay + sort) fans
+    /// out across the worker pool: every bot's RNG is an independently
+    /// seeded ChaCha substream derived from the scenario's
+    /// [`SeedSequence`], so no draw depends on which thread replays which
+    /// bot. The outcome is bit-identical to `run(ExecPolicy::Sequential)`
+    /// for the same spec — the determinism tests enforce it, including on
+    /// the metrics counters an attached [`Obs`] collects
+    /// (`sim.activations`, `sim.bots_replayed`, `sim.raw_lookups`,
+    /// `sim.observed_lookups`, `sim.stream.*`, plus the per-bot
     /// `sim.bot_replay_ns` replay-latency histogram).
     ///
     /// The spec's [`PipelineMode`] (see
-    /// [`pipeline`](ScenarioSpecBuilder::pipeline)) selects between the
-    /// materializing reference path and the bounded-memory streaming path;
-    /// both produce bit-identical observed traces.
+    /// [`pipeline`](ScenarioSpecBuilder::pipeline)) only decides whether
+    /// the raw trace is kept ([`ScenarioOutcome::raw`]) or dropped shard by
+    /// shard; the observed trace is the same either way.
+    ///
+    /// Memory stays bounded by a few shards of raw records when streaming;
+    /// the deterministic high-water mark is reported as
+    /// [`ScenarioOutcome::peak_resident_records`] and through the obs
+    /// counters `sim.stream.shards` / `sim.stream.peak_resident_records`
+    /// (backpressure stalls appear under `sched.stream.*`, which is
+    /// timing-dependent by contract).
     pub fn run(&self, policy: ExecPolicy) -> ScenarioOutcome {
-        match self.pipeline {
-            PipelineMode::Materialize => self.run_materialized(policy),
-            PipelineMode::Streaming { shard } => self.run_sharded(policy, shard, None),
-        }
+        self.run_sharded(policy, None)
     }
 
-    /// Replays one `(plan index, bot index)` job into its raw lookups.
-    /// Pure per job: every bot draws from its own pre-derived rng seed, so
-    /// jobs can run in any order on any thread.
-    fn replay_job(
+    /// [`run`](Self::run) feeding a [`ShardSink`]: `sink` receives each
+    /// shard's released observed records (post cache-filter, quantisation
+    /// and faults) in stream order, so callers can match or aggregate
+    /// incrementally without ever holding the whole observed trace either —
+    /// the interface batch runs and the `botmeterd` daemon ingest share.
+    /// Follows the spec's [`PipelineMode`]; the returned outcome is
+    /// identical to [`run`](Self::run)'s.
+    pub fn run_streaming_into(
         &self,
-        plans: &[EpochPlan],
-        job: (usize, usize),
-        theta_q: usize,
-    ) -> Vec<RawLookup> {
-        let (p, b) = job;
-        let plan = &plans[p];
-        let (t, client, rng_seed) = plan.bots[b];
-        let replay_start = self.obs.clock();
-        let mut bot_rng = ChaCha12Rng::seed_from_u64(rng_seed);
-        let lookups = match self
-            .evasion
-            .colluded_start(plan.epoch, plan.pool.len(), &mut bot_rng)
-        {
-            Some(start) => {
-                let barrel: Vec<usize> = (0..theta_q.min(plan.pool.len()))
-                    .map(|k| (start + k) % plan.pool.len())
-                    .collect();
-                replay_barrel(
-                    &self.family,
-                    &plan.pool,
-                    &plan.valid,
-                    barrel,
-                    t,
-                    client,
-                    &mut bot_rng,
-                )
-            }
-            None => simulate_activation(
-                &self.family,
-                plan.epoch,
-                &plan.pool,
-                &plan.valid,
-                t,
-                client,
-                &mut bot_rng,
-            ),
-        };
-        self.obs.observe_since("sim.bot_replay_ns", replay_start);
-        lookups
+        policy: ExecPolicy,
+        sink: &mut dyn ShardSink,
+    ) -> ScenarioOutcome {
+        self.run_sharded(policy, Some(sink))
     }
 
-    /// The id-resident twin of [`replay_job`](Self::replay_job): appends
-    /// the job's lookups to `out` as [`CompactLookup`] records instead of
-    /// returning a fresh name-carrying vector. Draw-for-draw identical rng
-    /// consumption, so `job.compact()` of the legacy records equals this
-    /// output exactly.
+    /// Replays one `(plan index, bot index)` job, appending its lookups to
+    /// `out` as id-resident [`CompactLookup`] records. Pure per job: every
+    /// bot draws from its own pre-derived rng seed, so jobs can run in any
+    /// order on any thread.
     fn replay_job_compact(
         &self,
         plans: &[EpochPlan],
@@ -310,163 +285,6 @@ impl ScenarioSpec {
             .collect()
     }
 
-    /// The materializing reference pipeline: build the whole raw trace,
-    /// sort it, filter it through the cache topology, then fault it.
-    fn run_materialized(&self, policy: ExecPolicy) -> ScenarioOutcome {
-        let authority = self.family.authority_for_epochs(self.num_epochs + 1);
-
-        // Phase A — sequential per epoch: activation sampling and evasion
-        // adjustment share one epoch rng, so their draws must stay ordered.
-        // This phase is cheap (no lookup synthesis); it only plans the
-        // per-bot jobs and pre-derives each bot's rng seed.
-        let (plans, ground_truth) = self.plan_epochs();
-
-        // Phase B — per-bot replay, fanned out over the worker pool. Jobs
-        // are flattened in (epoch asc, bot asc) order; concatenating the
-        // per-job lookup vectors in job order reproduces exactly the
-        // sequence the sequential loop builds.
-        let jobs = Self::flatten_jobs(&plans);
-        let theta_q = self.family.params().theta_q();
-        let replay_job = |j: usize| -> Vec<RawLookup> { self.replay_job(&plans, jobs[j], theta_q) };
-        let mut raw: Vec<RawLookup> = if policy.is_sequential() {
-            // Single worker: stream each bot's lookups straight into the
-            // trace instead of double-buffering 10k+ per-bot vectors.
-            let mut raw = Vec::new();
-            for j in 0..jobs.len() {
-                raw.extend(replay_job(j));
-            }
-            raw
-        } else {
-            let replays =
-                botmeter_exec::run_indexed_with(policy, &self.obs, jobs.len(), replay_job);
-            let mut raw = Vec::with_capacity(replays.iter().map(Vec::len).sum());
-            for lookups in replays {
-                raw.extend(lookups);
-            }
-            raw
-        };
-        botmeter_exec::par_sort_by_key_with(policy, &self.obs, &mut raw, |l| (l.t, l.client));
-
-        // Phase C — cache filtering, sharded by domain inside the topology
-        // (bit-identical to the sequential scan; see `Topology::process_trace`).
-        let mut topology = Topology::single_local(self.ttl);
-        topology.set_obs(self.obs.clone());
-        let observed: Vec<ObservedLookup> = topology
-            .process_trace(&raw, &authority, policy)
-            .expect("single-local topology routes every client")
-            .into_iter()
-            .map(|mut o| {
-                o.t = o.t.quantize(self.granularity);
-                o
-            })
-            .collect();
-
-        // Phase D — optional measurement faults: the configured plan
-        // degrades the observable trace (loss, duplication, reordering,
-        // skew, sampling, outages) deterministically from its own seed, so
-        // faulted runs stay bit-identical across execution policies.
-        let (observed, fault_report) = match &self.faults {
-            Some(plan) => {
-                let (faulted, report) = plan.apply(observed);
-                (faulted, Some(report))
-            }
-            None => (observed, None),
-        };
-
-        if self.obs.enabled() {
-            self.obs
-                .counter_add("sim.activations", ground_truth.iter().sum());
-            self.obs.counter_add("sim.bots_replayed", jobs.len() as u64);
-            self.obs.counter_add("sim.raw_lookups", raw.len() as u64);
-            self.obs
-                .counter_add("sim.observed_lookups", observed.len() as u64);
-            if let Some(report) = &fault_report {
-                self.obs.counter_add("sim.faults.input", report.input);
-                self.obs.counter_add("sim.faults.dropped", report.dropped);
-                self.obs
-                    .counter_add("sim.faults.duplicated", report.duplicated);
-                self.obs
-                    .counter_add("sim.faults.displaced", report.displaced);
-                self.obs
-                    .counter_add("sim.faults.perturbed", report.perturbed);
-            }
-        }
-
-        let raw_lookups = raw.len() as u64;
-        ScenarioOutcome {
-            family: self.family.clone(),
-            ttl: self.ttl,
-            granularity: self.granularity,
-            num_epochs: self.num_epochs,
-            // The whole raw trace was resident at once.
-            peak_resident_records: raw_lookups,
-            raw_lookups,
-            raw,
-            observed,
-            ground_truth,
-            fault_report,
-        }
-    }
-
-    /// Runs the fused streaming pipeline: simulate → cache-filter → fault
-    /// over fixed-width time shards, never materializing the raw trace.
-    ///
-    /// The observed trace, ground truth, fault report and deterministic
-    /// `sim.*` counters are **bit-identical** to [`run`](Self::run) in
-    /// [`PipelineMode::Materialize`] under either [`ExecPolicy`] — only
-    /// [`ScenarioOutcome::raw`] is empty (the raw records are dropped as
-    /// soon as their shard has been filtered; the count survives as
-    /// [`ScenarioOutcome::raw_lookups`]).
-    ///
-    /// Under a parallel policy shard production (replay + sort) fans out
-    /// across the worker pool — each shard built end-to-end by one worker
-    /// inside the bounded ticket window of
-    /// [`botmeter_exec::run_pipelined_with`] — while the calling thread
-    /// filters and faults finished shards strictly in shard order. Memory
-    /// stays bounded by a few shards of raw records; the deterministic
-    /// high-water mark is reported as
-    /// [`ScenarioOutcome::peak_resident_records`] and through the obs
-    /// counters `sim.stream.shards` / `sim.stream.peak_resident_records`
-    /// (backpressure stalls appear under `sched.stream.*`, which is
-    /// timing-dependent by contract).
-    pub fn run_streaming(&self, policy: ExecPolicy) -> ScenarioOutcome {
-        let shard = match self.pipeline {
-            PipelineMode::Streaming { shard } => shard,
-            PipelineMode::Materialize => None,
-        };
-        self.run_sharded(policy, shard, None)
-    }
-
-    /// [`run_streaming`](Self::run_streaming) with a per-shard closure —
-    /// sugar over [`run_streaming_into`](Self::run_streaming_into) via
-    /// [`FnSink`].
-    pub fn run_streaming_each<F>(&self, policy: ExecPolicy, on_shard: F) -> ScenarioOutcome
-    where
-        F: FnMut(&[ObservedLookup]),
-    {
-        let mut sink = FnSink(on_shard);
-        self.run_streaming_into(policy, &mut sink)
-    }
-
-    /// [`run_streaming`](Self::run_streaming) feeding a [`ShardSink`]:
-    /// `sink` receives each shard's released observed records (post
-    /// cache-filter, quantisation and faults) in stream order, so callers
-    /// can match or aggregate incrementally without ever holding the whole
-    /// observed trace either — the interface batch runs and the
-    /// `botmeterd` daemon ingest share. The returned outcome is identical
-    /// to [`run_streaming`](Self::run_streaming).
-    pub fn run_streaming_into(
-        &self,
-        policy: ExecPolicy,
-        sink: &mut dyn ShardSink,
-    ) -> ScenarioOutcome {
-        let shard = match self.pipeline {
-            PipelineMode::Streaming { shard } => shard,
-            PipelineMode::Materialize => None,
-        };
-        self.run_sharded(policy, shard, Some(sink))
-    }
-
     /// The streaming pipeline core. Shard `k` covers simulated time
     /// `[k·w, (k+1)·w)`; the last shard is a catch-all `[k·w, ∞)` so the
     /// horizon estimate only sizes the shard count, never correctness.
@@ -475,7 +293,8 @@ impl ScenarioSpec {
     /// worker pool — each shard is owned end-to-end by one producer worker
     /// of [`botmeter_exec::run_pipelined_with`] — while the reduction
     /// (cache filtering, faulting) runs on the calling thread strictly in
-    /// shard order. Equivalence with the materializing path rests on three
+    /// shard order. Equivalence with a whole-trace replay (stable sort by
+    /// `(t, client)`, one filter pass, one fault pass) rests on three
     /// invariants:
     ///
     /// 1. **Deterministic shard ownership and reduction order.** The
@@ -488,8 +307,9 @@ impl ScenarioSpec {
     ///    from earlier ranges (in range order) with the shard's own run —
     ///    and a stable merge of stable-sorted segments in concatenation
     ///    order *is* the global stable sort restricted to the shard, so the
-    ///    per-shard traces concatenate into exactly the materializing
-    ///    path's globally sorted trace.
+    ///    per-shard traces concatenate into exactly the globally sorted
+    ///    trace. [`PipelineMode::Materialize`] keeps that concatenation as
+    ///    [`ScenarioOutcome::raw`].
     /// 2. **Cache state chains.** One `Topology` filters every shard in
     ///    order on the consumer side; its per-server cache state carries
     ///    across shard boundaries, and per-call counter deltas telescope to
@@ -500,9 +320,12 @@ impl ScenarioSpec {
     fn run_sharded(
         &self,
         policy: ExecPolicy,
-        shard: Option<SimDuration>,
         mut on_shard: Option<&mut dyn ShardSink>,
     ) -> ScenarioOutcome {
+        let (shard, keep_raw) = match self.pipeline {
+            PipelineMode::Materialize => (None, true),
+            PipelineMode::Streaming { shard } => (shard, false),
+        };
         let authority = self.family.authority_for_epochs(self.num_epochs + 1);
         let (plans, ground_truth) = self.plan_epochs();
         let jobs = Self::flatten_jobs(&plans);
@@ -510,9 +333,10 @@ impl ScenarioSpec {
 
         // Intern every pool domain once, up front: producers then work
         // purely in ids (8-byte `Copy` records, no `Arc` traffic), and the
-        // interner resolves them back to names at the egress edge. Pool materialisation draws no rng, so planning streams are
-        // untouched; fingerprint collisions would panic here, which is what
-        // makes id equality stand in for name equality downstream.
+        // interner resolves them back to names at the egress edge. Pool
+        // materialisation draws no rng, so planning streams are untouched;
+        // fingerprint collisions would panic here, which is what makes id
+        // equality stand in for name equality downstream.
         let mut interner = DomainInterner::new();
         for plan in &plans {
             for domain in &plan.pool {
@@ -626,18 +450,20 @@ impl ScenarioSpec {
         // Consumer state: the carried id-keyed cache topology, the
         // incremental fault application (over compact records — stage
         // decisions depend only on count, time and server, so faulting
-        // commutes with hydration), the accumulated observed trace, and the
-        // overflow runs awaiting their destination shard (keyed by shard,
-        // each holding runs in ascending range order because shards are
-        // consumed in order). Records stay id-resident through filter and
-        // fault; hydration through the interner happens once per *released*
-        // record at the egress edge — the cache-filtered stream is roughly
-        // an order of magnitude smaller than the raw one.
+        // commutes with hydration), the accumulated observed (and, when
+        // materializing, raw) trace, and the overflow runs awaiting their
+        // destination shard (keyed by shard, each holding runs in ascending
+        // range order because shards are consumed in order). Records stay
+        // id-resident through filter and fault; hydration through the
+        // interner happens once per *released* record at the egress edge —
+        // the cache-filtered stream is roughly an order of magnitude smaller
+        // than the raw one — and, when materializing, once per raw record.
         let mut topology: Topology<DomainId> = Topology::single_local(self.ttl);
         topology.set_obs(self.obs.clone());
         let mut fault_stream: Option<FaultStream<CompactObserved>> =
             self.faults.as_ref().map(FaultPlan::stream);
         let mut observed: Vec<ObservedLookup> = Vec::new();
+        let mut raw: Vec<RawLookup> = Vec::new();
         let mut filtered_any = false;
         let mut pending: BTreeMap<usize, Vec<Vec<CompactLookup>>> = BTreeMap::new();
         let mut in_shard: Vec<CompactLookup> = Vec::new();
@@ -668,6 +494,12 @@ impl ScenarioSpec {
                 for run in runs {
                     buffers.recycle(run);
                 }
+                if keep_raw {
+                    raw.extend(in_shard.iter().map(|l| {
+                        l.hydrate(&interner)
+                            .expect("replayed records were interned at planning time")
+                    }));
+                }
                 if in_shard.is_empty() {
                     return;
                 }
@@ -697,14 +529,17 @@ impl ScenarioSpec {
         );
         buffers.record_metrics(&self.obs);
 
-        // Deterministic resident high-water mark: while shard `s` is being
-        // consumed, up to STREAM_ACCOUNT_WINDOW shards (the producer ticket
-        // window plus the one in hand) may be materialised, plus every
-        // overflow run parked for a later shard. Charged from the
-        // deterministic per-shard sizes, so the figure is identical under
-        // every policy and worker count.
+        // Deterministic resident high-water mark. A materializing run keeps
+        // the whole raw trace. Otherwise, while shard `s` is being consumed,
+        // up to STREAM_ACCOUNT_WINDOW shards (the producer ticket window
+        // plus the one in hand) may be materialised, plus every overflow run
+        // parked for a later shard. Charged from the deterministic per-shard
+        // sizes, so the figure is identical under every policy and worker
+        // count.
         let mut peak_resident = 0u64;
-        {
+        if keep_raw {
+            peak_resident = raw_total;
+        } else {
             let window = STREAM_ACCOUNT_WINDOW.min(num_shards);
             let mut window_sum: u64 = gen_sizes[..window].iter().sum();
             let mut parked: i64 = 0;
@@ -718,8 +553,8 @@ impl ScenarioSpec {
             }
         }
         if !filtered_any {
-            // Mirror the materializing path's single (empty) filter call so
-            // the topology counters agree even for an empty trace.
+            // One (empty) filter call, as a whole-trace filter would make, so
+            // the topology counters exist even for an empty trace.
             let _ =
                 topology.process_trace::<CompactLookup, _>(&[], (&interner, &authority), policy);
         }
@@ -764,7 +599,7 @@ impl ScenarioSpec {
             ttl: self.ttl,
             granularity: self.granularity,
             num_epochs: self.num_epochs,
-            raw: Vec::new(),
+            raw,
             raw_lookups: raw_total,
             peak_resident_records: peak_resident,
             observed,
@@ -773,7 +608,7 @@ impl ScenarioSpec {
         }
     }
 
-    /// Phase A shared by both run paths: samples activations epoch by epoch
+    /// Phase A: samples activations epoch by epoch
     /// (one sequential rng per epoch covers sampling *and* evasion
     /// adjustment) and pre-derives every bot's independent rng seed.
     fn plan_epochs(&self) -> (Vec<EpochPlan>, Vec<u64>) {
@@ -890,7 +725,7 @@ impl ScenarioSpecBuilder {
         self
     }
 
-    /// Selects how [`ScenarioSpec::run`] materialises the raw trace
+    /// Selects whether [`ScenarioSpec::run`] keeps the raw trace
     /// (default: [`PipelineMode::Materialize`]). Both modes produce
     /// bit-identical observed traces; streaming trades the retained raw
     /// trace for a bounded memory footprint.
@@ -989,13 +824,12 @@ impl ScenarioOutcome {
         self.num_epochs
     }
 
-    /// The pre-cache, ground-truth lookup trace.
+    /// The pre-cache, ground-truth lookup trace, sorted by `(t, client)`.
     ///
-    /// Only materializing runs keep it; streaming runs
-    /// ([`ScenarioSpec::run_streaming`] or [`PipelineMode::Streaming`])
-    /// return an empty slice here — that bounded memory footprint is their
-    /// point — while [`raw_lookups`](Self::raw_lookups) still reports the
-    /// count.
+    /// Only [`PipelineMode::Materialize`] runs keep it;
+    /// [`PipelineMode::Streaming`] runs return an empty slice here — that
+    /// bounded memory footprint is their point — while
+    /// [`raw_lookups`](Self::raw_lookups) still reports the count.
     pub fn raw(&self) -> &[RawLookup] {
         &self.raw
     }
@@ -1247,5 +1081,512 @@ mod tests {
         assert_eq!(outcome.num_epochs(), 1);
         assert_eq!(outcome.granularity(), SimDuration::from_millis(100));
         assert_eq!(outcome.ttl(), TtlPolicy::paper_default());
+    }
+}
+
+/// An independent reference for [`ScenarioSpec::run`]: the paper's Fig. 2
+/// path written out sequentially over name-keyed records — replay every
+/// bot, stably sort the whole raw trace, filter it in one pass, quantise,
+/// fault it in one pass — with none of the pipeline's sharding, id
+/// interning, buffer recycling or incremental faulting. Only the epoch
+/// planning (activation sampling and per-bot seeds) is shared.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::{replay_barrel, simulate_activation};
+    use botmeter_dns::{DomainName, ServerId};
+    use botmeter_faults::FaultModel;
+    use botmeter_obs::CounterSnapshot;
+    use proptest::prelude::*;
+
+    /// Everything the oracle replay produced.
+    struct Reference {
+        raw: Vec<RawLookup>,
+        observed: Vec<ObservedLookup>,
+        ground_truth: Vec<u64>,
+        fault_report: Option<FaultReport>,
+        counters: Vec<CounterSnapshot>,
+    }
+
+    fn replay(spec: &ScenarioSpec) -> Reference {
+        let (obs, registry) = Obs::collecting();
+        let (plans, ground_truth) = spec.plan_epochs();
+        let theta_q = spec.family.params().theta_q();
+        let mut raw = Vec::new();
+        for plan in &plans {
+            for &(t, client, rng_seed) in &plan.bots {
+                let mut rng = ChaCha12Rng::seed_from_u64(rng_seed);
+                let pool_len = plan.pool.len();
+                raw.extend(
+                    match spec.evasion.colluded_start(plan.epoch, pool_len, &mut rng) {
+                        Some(start) => replay_barrel(
+                            &spec.family,
+                            &plan.pool,
+                            &plan.valid,
+                            (0..theta_q.min(pool_len))
+                                .map(|k| (start + k) % pool_len)
+                                .collect(),
+                            t,
+                            client,
+                            &mut rng,
+                        ),
+                        None => simulate_activation(
+                            &spec.family,
+                            plan.epoch,
+                            &plan.pool,
+                            &plan.valid,
+                            t,
+                            client,
+                            &mut rng,
+                        ),
+                    },
+                );
+            }
+        }
+        raw.sort_by_key(|l| (l.t, l.client));
+
+        let authority = spec.family.authority_for_epochs(spec.num_epochs + 1);
+        let mut topology: Topology<DomainName> = Topology::single_local(spec.ttl);
+        topology.set_obs(obs.clone());
+        let mut observed = topology
+            .process_trace(&raw, &authority, ExecPolicy::Sequential)
+            .expect("single-local topology routes every client");
+        for o in &mut observed {
+            o.t = o.t.quantize(spec.granularity);
+        }
+        let (observed, fault_report) = match &spec.faults {
+            Some(plan) => {
+                let (faulted, report) = plan.apply(observed);
+                (faulted, Some(report))
+            }
+            None => (observed, None),
+        };
+
+        obs.counter_add("sim.activations", ground_truth.iter().sum());
+        obs.counter_add(
+            "sim.bots_replayed",
+            plans.iter().map(|p| p.bots.len() as u64).sum(),
+        );
+        obs.counter_add("sim.raw_lookups", raw.len() as u64);
+        obs.counter_add("sim.observed_lookups", observed.len() as u64);
+        if let Some(report) = &fault_report {
+            obs.counter_add("sim.faults.input", report.input);
+            obs.counter_add("sim.faults.dropped", report.dropped);
+            obs.counter_add("sim.faults.duplicated", report.duplicated);
+            obs.counter_add("sim.faults.displaced", report.displaced);
+            obs.counter_add("sim.faults.perturbed", report.perturbed);
+        }
+        Reference {
+            raw,
+            observed,
+            ground_truth,
+            fault_report,
+            counters: registry.snapshot().deterministic_counters(),
+        }
+    }
+
+    /// Deterministic counters minus the pipeline's own residency metrics
+    /// (`sim.stream.*`), which a whole-trace replay has no counterpart for.
+    fn comparable(counters: Vec<CounterSnapshot>) -> Vec<CounterSnapshot> {
+        counters
+            .into_iter()
+            .filter(|c| !c.name.starts_with("sim.stream."))
+            .collect()
+    }
+
+    /// Pins the worker count so parallel policies exercise the real
+    /// producer/consumer overlap even on single-core machines.
+    fn force_parallel() {
+        std::env::set_var("BOTMETER_THREADS", "4");
+    }
+
+    /// Replays `build()` once through the oracle, then runs it under every
+    /// policy in `policies`, both in its own [`PipelineMode`] and in
+    /// [`PipelineMode::Materialize`], and asserts every externally visible
+    /// artefact matches the oracle: observed trace, ground truth, fault
+    /// report, raw-lookup count, deterministic counters and — when
+    /// materializing — the raw trace record for record.
+    fn assert_matches_oracle(
+        build: impl Fn() -> ScenarioSpecBuilder,
+        policies: &[ExecPolicy],
+        what: &str,
+    ) {
+        let reference = replay(&build().build().expect("valid spec"));
+        for &policy in policies {
+            for materialize in [false, true] {
+                let (obs, registry) = Obs::collecting();
+                let mut builder = build().obs(obs);
+                if materialize {
+                    builder = builder.pipeline(PipelineMode::Materialize);
+                }
+                let spec = builder.build().expect("valid spec");
+                let keeps_raw = spec.pipeline == PipelineMode::Materialize;
+                let outcome = spec.run(policy);
+                let what = format!("{what} / {policy:?} / {:?}", spec.pipeline);
+                assert_eq!(
+                    outcome.observed(),
+                    reference.observed,
+                    "observed trace diverged: {what}"
+                );
+                assert_eq!(
+                    outcome.ground_truth(),
+                    reference.ground_truth,
+                    "ground truth diverged: {what}"
+                );
+                assert_eq!(
+                    outcome.fault_report(),
+                    reference.fault_report.as_ref(),
+                    "fault report diverged: {what}"
+                );
+                assert_eq!(
+                    outcome.raw_lookups(),
+                    reference.raw.len() as u64,
+                    "raw lookup count diverged: {what}"
+                );
+                let snapshot = registry.snapshot();
+                assert_eq!(
+                    comparable(snapshot.deterministic_counters()),
+                    reference.counters,
+                    "metrics counters diverged: {what}"
+                );
+                if keeps_raw {
+                    assert_eq!(outcome.raw(), reference.raw, "raw trace diverged: {what}");
+                    assert_eq!(
+                        outcome.peak_resident_records(),
+                        outcome.raw_lookups(),
+                        "materializing residency is not the trace length: {what}"
+                    );
+                    assert_eq!(
+                        snapshot.counter("sim.stream.peak_resident_records"),
+                        Some(outcome.raw_lookups()),
+                        "residency gauge disagrees with the outcome: {what}"
+                    );
+                } else {
+                    assert!(
+                        outcome.raw().is_empty(),
+                        "streaming kept a raw trace: {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn both_policies(build: impl Fn() -> ScenarioSpecBuilder, what: &str) {
+        assert_matches_oracle(
+            build,
+            &[ExecPolicy::Sequential, ExecPolicy::parallel()],
+            what,
+        );
+    }
+
+    /// Explicit producer-pool sizes for the sharded pipeline: one worker, a
+    /// partial ticket window, and the full `PIPELINE_WINDOW`.
+    const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+
+    /// [`both_policies`] widened over every distinguished worker count.
+    fn every_worker_count(build: impl Fn() -> ScenarioSpecBuilder, what: &str) {
+        let mut policies = vec![ExecPolicy::Sequential];
+        policies.extend(WORKER_COUNTS.map(ExecPolicy::with_threads));
+        assert_matches_oracle(build, &policies, what);
+    }
+
+    /// One fault model per kind index, with parameters aggressive enough to
+    /// fire on a small trace.
+    fn fault_model(kind: usize) -> FaultModel {
+        match kind {
+            0 => FaultModel::Drop { rate: 0.3 },
+            1 => FaultModel::BurstLoss {
+                p_enter: 0.2,
+                p_exit: 0.3,
+                loss: 0.9,
+            },
+            2 => FaultModel::Duplicate { rate: 0.25 },
+            3 => FaultModel::Reorder {
+                rate: 0.3,
+                max_displacement: 5,
+            },
+            4 => FaultModel::Jitter {
+                max: SimDuration::from_secs(30),
+            },
+            5 => FaultModel::ClockSkew {
+                max: SimDuration::from_secs(120),
+            },
+            6 => FaultModel::Sample { keep_one_in: 3 },
+            _ => FaultModel::Outage {
+                server: Some(ServerId(1)),
+                from: SimInstant::from_millis(3_600_000),
+                until: SimInstant::from_millis(14_400_000),
+            },
+        }
+    }
+
+    const FAULT_MODEL_NAMES: [&str; 8] = [
+        "drop",
+        "burst_loss",
+        "duplicate",
+        "reorder",
+        "jitter",
+        "clock_skew",
+        "sample",
+        "outage",
+    ];
+
+    #[test]
+    fn pipeline_matches_oracle_across_families() {
+        force_parallel();
+        let families = [
+            DgaFamily::murofet,
+            DgaFamily::new_goz,
+            DgaFamily::conficker_c,
+            DgaFamily::necurs,
+        ];
+        for family in families {
+            let name = family().name().to_owned();
+            let build = || {
+                ScenarioSpec::builder(family())
+                    .population(48)
+                    .num_epochs(2)
+                    .seed(7)
+                    .pipeline(PipelineMode::Streaming { shard: None })
+            };
+            both_policies(build, &name);
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_oracle_across_seeds() {
+        force_parallel();
+        for seed in [0u64, 1, 99, 0xdead_beef] {
+            let build = || {
+                ScenarioSpec::builder(DgaFamily::new_goz())
+                    .population(64)
+                    .seed(seed)
+                    .pipeline(PipelineMode::Streaming { shard: None })
+            };
+            both_policies(build, &format!("newGoZ seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_oracle_under_evasion_and_dynamic_rate() {
+        force_parallel();
+        let strategies = [
+            EvasionStrategy::DutyCycle { active_prob: 0.5 },
+            EvasionStrategy::CoordinatedBurst {
+                window_fraction: 0.25,
+            },
+            EvasionStrategy::StartCollusion { shared_starts: 4 },
+        ];
+        for evasion in strategies {
+            let build = || {
+                ScenarioSpec::builder(DgaFamily::conficker_c())
+                    .population(32)
+                    .activation(ActivationModel::DynamicRate { sigma: 1.5 })
+                    .evasion(evasion)
+                    .seed(11)
+                    .pipeline(PipelineMode::Streaming { shard: None })
+            };
+            both_policies(build, &format!("{evasion:?}"));
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_oracle_for_every_fault_model() {
+        force_parallel();
+        // Every fault model at every distinguished producer-pool size: the
+        // parallel shard producers must feed the consumer-side FaultStream
+        // in exactly the whole-trace order.
+        for (kind, name) in FAULT_MODEL_NAMES.iter().enumerate() {
+            let build = || {
+                ScenarioSpec::builder(DgaFamily::new_goz())
+                    .population(48)
+                    .num_epochs(2)
+                    .seed(17)
+                    .faults(FaultPlan::new(23).with(fault_model(kind)))
+                    .pipeline(PipelineMode::Streaming { shard: None })
+            };
+            every_worker_count(build, &format!("fault model {name}"));
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_oracle_for_composed_fault_plan() {
+        force_parallel();
+        let build = || {
+            let plan = (0..FAULT_MODEL_NAMES.len()).fold(FaultPlan::new(99), |plan, kind| {
+                plan.with(fault_model(kind))
+            });
+            ScenarioSpec::builder(DgaFamily::murofet())
+                .population(48)
+                .num_epochs(2)
+                .seed(29)
+                .faults(plan)
+                .pipeline(PipelineMode::Streaming { shard: None })
+        };
+        every_worker_count(build, "composed fault plan");
+    }
+
+    #[test]
+    fn pipeline_matches_oracle_for_explicit_shard_widths() {
+        force_parallel();
+        // Degenerate (tiny) and coarse (multi-epoch) shard widths must both
+        // reproduce the oracle trace under every producer-pool size: shard
+        // geometry is a pure performance knob, never a correctness one.
+        let widths = [
+            SimDuration::from_millis(1),
+            SimDuration::from_secs(60),
+            SimDuration::from_secs(24 * 3600),
+            SimDuration::from_secs(30 * 24 * 3600),
+        ];
+        for width in widths {
+            let build = || {
+                ScenarioSpec::builder(DgaFamily::new_goz())
+                    .population(32)
+                    .seed(5)
+                    .faults(FaultPlan::new(7).with(FaultModel::Reorder {
+                        rate: 0.3,
+                        max_displacement: 5,
+                    }))
+                    .pipeline(PipelineMode::Streaming { shard: Some(width) })
+            };
+            every_worker_count(build, &format!("shard width {width:?}"));
+        }
+    }
+
+    const FAMILIES: [fn() -> DgaFamily; 5] = [
+        DgaFamily::murofet,
+        DgaFamily::new_goz,
+        DgaFamily::conficker_c,
+        DgaFamily::necurs,
+        DgaFamily::torpig,
+    ];
+
+    /// Shard widths from degenerate (1 ms) through multi-epoch, plus the
+    /// default geometry.
+    fn shard_width(selector: usize, secs: u64) -> Option<SimDuration> {
+        match selector {
+            0 => None,
+            1 => Some(SimDuration::from_millis(1)),
+            2 => Some(SimDuration::from_secs(secs)),
+            _ => Some(SimDuration::from_secs(3 * 24 * 3600)),
+        }
+    }
+
+    /// The pipeline matches the oracle wherever the dice land: random
+    /// families, fault plans, shard widths, populations, seeds and worker
+    /// counts. Twelve cases drawn from the generator keyed below, in the
+    /// order a `proptest!` block with these strategies draws them; each
+    /// case runs the oracle plus four pipeline runs, so populations stay
+    /// small and the deterministic tests above carry the corners.
+    #[test]
+    fn pipeline_matches_oracle_on_random_scenarios() {
+        force_parallel();
+        let mut rng = proptest::test_rng(
+            "compact_equivalence::compact_streaming_replay_matches_legacy_replay",
+        );
+        for _ in 0..ProptestConfig::with_cases(12).resolved_cases() {
+            let family_idx = (0usize..FAMILIES.len()).generate(&mut rng);
+            let population = (4u64..32).generate(&mut rng);
+            let epochs = (1u64..3).generate(&mut rng);
+            let seed = any::<u64>().generate(&mut rng);
+            let fault_seed = any::<u64>().generate(&mut rng);
+            let fault_kinds = prop::collection::vec(0usize..8, 0..3).generate(&mut rng);
+            let shard_selector = (0usize..4).generate(&mut rng);
+            let shard_secs = (1u64..7200).generate(&mut rng);
+            let workers = (1usize..5).generate(&mut rng);
+
+            let family = FAMILIES[family_idx];
+            let faults = (!fault_kinds.is_empty()).then(|| {
+                fault_kinds
+                    .iter()
+                    .fold(FaultPlan::new(fault_seed), |plan, &kind| {
+                        plan.with(fault_model(kind))
+                    })
+            });
+            let shard = shard_width(shard_selector, shard_secs);
+            let build = || {
+                let b = ScenarioSpec::builder(family())
+                    .population(population)
+                    .num_epochs(epochs)
+                    .seed(seed)
+                    .pipeline(PipelineMode::Streaming { shard });
+                match faults.clone() {
+                    Some(plan) => b.faults(plan),
+                    None => b,
+                }
+            };
+            assert_matches_oracle(
+                build,
+                &[ExecPolicy::Sequential, ExecPolicy::with_threads(workers)],
+                &format!(
+                    "family {family_idx}, population {population}, epochs {epochs}, \
+                     seed {seed}, faults {fault_seed}/{fault_kinds:?}, shard {shard:?}"
+                ),
+            );
+        }
+    }
+
+    struct Collect(Vec<ObservedLookup>);
+
+    impl ShardSink for Collect {
+        fn on_shard(&mut self, shard: &[ObservedLookup]) {
+            self.0.extend_from_slice(shard);
+        }
+    }
+
+    #[test]
+    fn sink_sees_exactly_the_observed_trace() {
+        force_parallel();
+        for policy in [ExecPolicy::Sequential, ExecPolicy::parallel()] {
+            for mode in [
+                PipelineMode::Streaming { shard: None },
+                PipelineMode::Materialize,
+            ] {
+                let spec = ScenarioSpec::builder(DgaFamily::new_goz())
+                    .population(48)
+                    .num_epochs(2)
+                    .seed(13)
+                    .faults(FaultPlan::new(3).with(FaultModel::Duplicate { rate: 0.25 }))
+                    .pipeline(mode)
+                    .build()
+                    .expect("valid spec");
+                let mut sink = Collect(Vec::new());
+                let outcome = spec.run_streaming_into(policy, &mut sink);
+                assert_eq!(
+                    sink.0,
+                    outcome.observed(),
+                    "sink concatenation diverged ({policy:?}, {mode:?})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_peak_residency_is_far_below_the_trace_length() {
+        force_parallel();
+        let spec = ScenarioSpec::builder(DgaFamily::new_goz())
+            .population(128)
+            .num_epochs(2)
+            .seed(21)
+            .pipeline(PipelineMode::Streaming { shard: None })
+            .build()
+            .expect("valid spec");
+        let outcome = spec.run(ExecPolicy::parallel());
+        assert!(outcome.raw_lookups() > 0);
+        assert!(
+            outcome.peak_resident_records() < outcome.raw_lookups(),
+            "peak {} not below total {}",
+            outcome.peak_resident_records(),
+            outcome.raw_lookups()
+        );
+        // The bound the perf harness advertises: a handful of shards, not
+        // the whole trace. With 16 shards/epoch the high-water mark should
+        // sit well under half the trace.
+        assert!(
+            outcome.peak_resident_records() * 2 < outcome.raw_lookups(),
+            "peak {} is not a small fraction of total {}",
+            outcome.peak_resident_records(),
+            outcome.raw_lookups()
+        );
     }
 }

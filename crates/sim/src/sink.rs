@@ -1,14 +1,11 @@
-//! First-class shard consumption: the [`ShardSink`] trait the streaming
+//! First-class shard consumption: the [`ShardSink`] trait the scenario
 //! pipeline feeds.
 //!
-//! [`ScenarioSpec::run_streaming_each`] started as an ad-hoc closure hook.
-//! Promoting it to a trait gives batch runs and long-running consumers
-//! (the `botmeterd` daemon engine ingests through the same interface) one
-//! contract: shards arrive in stream order, each shard is post
-//! cache-filter, quantisation and faults, and the concatenation of all
-//! shards is exactly the materialized observed trace.
-//!
-//! [`ScenarioSpec::run_streaming_each`]: crate::ScenarioSpec::run_streaming_each
+//! Batch runs and long-running consumers (the `botmeterd` daemon engine
+//! ingests through the same interface) share one contract: shards arrive
+//! in stream order, each shard is post cache-filter, quantisation and
+//! faults, and the concatenation of all shards is exactly
+//! [`ScenarioOutcome::observed`](crate::ScenarioOutcome::observed).
 
 use botmeter_dns::ObservedLookup;
 
@@ -30,37 +27,31 @@ impl<S: ShardSink + ?Sized> ShardSink for &mut S {
     }
 }
 
-/// Adapts a closure into a [`ShardSink`] — the compatibility bridge behind
-/// [`ScenarioSpec::run_streaming_each`](crate::ScenarioSpec::run_streaming_each).
-#[derive(Debug)]
-pub struct FnSink<F>(pub F);
-
-impl<F: FnMut(&[ObservedLookup])> ShardSink for FnSink<F> {
-    fn on_shard(&mut self, shard: &[ObservedLookup]) {
-        (self.0)(shard);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use botmeter_dns::{ServerId, SimInstant};
 
-    #[test]
-    fn fn_sink_forwards_to_the_closure() {
-        let mut seen = 0usize;
-        {
-            let mut sink = FnSink(|shard: &[ObservedLookup]| seen += shard.len());
-            let lookup = ObservedLookup::new(
-                SimInstant::ZERO,
-                ServerId(1),
-                "nx.example".parse().expect("valid name"),
-            );
-            sink.on_shard(&[lookup.clone(), lookup]);
-            // &mut S forwards too.
-            let via_ref: &mut dyn ShardSink = &mut sink;
-            via_ref.on_shard(&[]);
+    struct Count(usize);
+
+    impl ShardSink for Count {
+        fn on_shard(&mut self, shard: &[ObservedLookup]) {
+            self.0 += shard.len();
         }
-        assert_eq!(seen, 2);
+    }
+
+    #[test]
+    fn mut_ref_sink_forwards_to_the_sink() {
+        let mut sink = Count(0);
+        let lookup = ObservedLookup::new(
+            SimInstant::ZERO,
+            ServerId(1),
+            "nx.example".parse().expect("valid name"),
+        );
+        let mut by_ref = &mut sink;
+        by_ref.on_shard(&[lookup.clone(), lookup]);
+        let via_dyn: &mut dyn ShardSink = &mut by_ref;
+        via_dyn.on_shard(&[]);
+        assert_eq!(sink.0, 2);
     }
 }

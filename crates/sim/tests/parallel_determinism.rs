@@ -246,12 +246,12 @@ fn assert_streaming_runs_match_under(
         .obs(obs_par)
         .build()
         .expect("valid spec")
-        .run_streaming(policy);
+        .run(policy);
     let sequential = build()
         .obs(obs_seq)
         .build()
         .expect("valid spec")
-        .run_streaming(ExecPolicy::Sequential);
+        .run(ExecPolicy::Sequential);
     assert_eq!(
         parallel.observed(),
         sequential.observed(),

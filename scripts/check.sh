@@ -11,14 +11,19 @@ echo "==> removed dual entry-point grep gate"
 # The sequential/parallel twins of the pipeline entry points were
 # deprecated shims and are now fully removed: no file may mention the old
 # names. Every caller passes an ExecPolicy to the unified entry point.
+# Likewise the scenario runs through one pipeline: the second
+# (materializing) replay path, its parallel sort and the streaming-only
+# entry points are gone; ScenarioSpec::run / run_streaming_into follow the
+# spec's PipelineMode.
 pattern='chart_parallel|match_stream_parallel|process_trace_parallel|run_sequential'
+pattern+='|run_materialized|par_sort_by_key|\.run_streaming\(|run_streaming_each|FnSink'
 offenders=$(grep -rlE "$pattern" \
   --include='*.rs' src crates tests examples \
   || true)
 if [[ -n "$offenders" ]]; then
   echo "error: removed dual entry points referenced:" >&2
   echo "$offenders" >&2
-  echo "use the unified ExecPolicy-taking API instead." >&2
+  echo "use the unified ExecPolicy-taking API and ScenarioSpec::run instead." >&2
   exit 1
 fi
 
@@ -102,6 +107,9 @@ if [[ -n "$compact_offenders" ]]; then
   echo "replay must stay ID-resident; hydrate at the egress boundary instead." >&2
   exit 1
 fi
+
+echo "==> non-test library line count (reported, not gated)"
+echo "$(scripts/loc.sh) lines"
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -13,11 +13,20 @@ use botmeter::dga::DgaFamily;
 use botmeter::exec::ExecPolicy;
 use botmeter::matcher::{ExactMatcher, SketchStream};
 use botmeter::obs::Obs;
-use botmeter::sim::{PipelineMode, ScenarioSpec};
+use botmeter::sim::{PipelineMode, ScenarioSpec, ShardSink};
 use botmeter::sketch::{SketchConfig, SketchedTraffic};
-use botmeter_dns::SimDuration;
+use botmeter_dns::{ObservedLookup, SimDuration};
 
 const EPOCHS: std::ops::Range<u64> = 0..2;
+
+/// Feeds every released shard straight into a sketch frontend.
+struct SketchSink<'s, 'm>(&'s mut SketchStream<'m, ExactMatcher>);
+
+impl ShardSink for SketchSink<'_, '_> {
+    fn on_shard(&mut self, shard: &[ObservedLookup]) {
+        self.0.ingest(shard);
+    }
+}
 
 fn spec(mode: PipelineMode) -> ScenarioSpec {
     ScenarioSpec::builder(DgaFamily::new_goz())
@@ -78,7 +87,7 @@ fn sketch_accumulation_is_bit_identical_across_policies_modes_and_workers() {
                     frontend.ingest(outcome.observed());
                 }
                 _ => {
-                    spec(mode).run_streaming_each(policy, |chunk| frontend.ingest(chunk));
+                    spec(mode).run_streaming_into(policy, &mut SketchSink(&mut frontend));
                 }
             }
             let (sketch, quality) = frontend.finish();

@@ -10,7 +10,17 @@ use botmeter::exec::ExecPolicy;
 use botmeter::faults::{FaultModel, FaultPlan};
 use botmeter::matcher::{match_stream, ExactMatcher, StreamMatcher};
 use botmeter::obs::Obs;
-use botmeter::sim::{PipelineMode, ScenarioSpec};
+use botmeter::sim::{PipelineMode, ScenarioSpec, ShardSink};
+use botmeter_dns::ObservedLookup;
+
+/// Feeds every released shard straight into a stream matcher.
+struct MatchSink<'s, 'm>(&'s mut StreamMatcher<'m, ExactMatcher>);
+
+impl ShardSink for MatchSink<'_, '_> {
+    fn on_shard(&mut self, shard: &[ObservedLookup]) {
+        self.0.ingest(shard);
+    }
+}
 
 fn spec(mode: PipelineMode) -> ScenarioSpec {
     ScenarioSpec::builder(DgaFamily::new_goz())
@@ -43,7 +53,7 @@ fn fused_streaming_match_equals_batch_match() {
         let streaming_spec = spec(PipelineMode::Streaming { shard: None });
         let mut stream_matcher = StreamMatcher::new(&matcher, policy, Obs::noop());
         let outcome =
-            streaming_spec.run_streaming_each(policy, |chunk| stream_matcher.ingest(chunk));
+            streaming_spec.run_streaming_into(policy, &mut MatchSink(&mut stream_matcher));
         let matched = stream_matcher.finish();
 
         assert!(outcome.raw().is_empty(), "streaming materialized the trace");
